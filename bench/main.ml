@@ -832,10 +832,10 @@ let parallel_scaling () =
    configurations are ever costed from scratch.  The study runs A* on the
    Table 2 schemas at jobs in {1, 4}, reports the exact evaluator work
    (full / delta / reused counters are atomics in the encoding), and at
-   jobs=1 re-runs the search through the VISMAT_SLOW_COST structural path,
-   asserting the optimum, its cost, and the expansion count are
-   bit-identical.  [cost_evaluations] (full + delta) is deterministic at
-   any jobs setting and is the number the CI perf-smoke guards. *)
+   jobs=1 re-derives the optimum with the reference evaluator
+   ([Cost.total_of]), asserting the delta-costed cost is bit-identical.
+   [cost_evaluations] (full + delta) is deterministic at any jobs setting
+   and is the number the CI perf-smoke guards. *)
 
 let incremental_costing () =
   section "[Extra 9] Incremental delta-costing (packed states)";
@@ -859,7 +859,7 @@ let incremental_costing () =
         "reused";
         "evals saved";
         "states/sec";
-        "fast=slow";
+        "= reference";
       ]
   in
   let rows = ref [] in
@@ -868,63 +868,58 @@ let incremental_costing () =
       List.iter
         (fun jobs ->
           let p = Problem.make schema in
-          match p.Problem.encoding with
-          | None -> ()
-          | Some enc ->
-              let t0 = Unix.gettimeofday () in
-              let a = Astar.search ~jobs p in
-              let dt = Unix.gettimeofday () -. t0 in
-              let s = Cost.incr_stats enc in
-              let states =
-                s.Cost.is_full + s.Cost.is_delta + s.Cost.is_reused
+          let enc = Option.get p.Problem.encoding in
+          let t0 = Unix.gettimeofday () in
+          let a = Astar.search ~jobs p in
+          let dt = Unix.gettimeofday () -. t0 in
+          let s = Cost.incr_stats enc in
+          let states =
+            s.Cost.is_full + s.Cost.is_delta + s.Cost.is_reused
+          in
+          let factor =
+            float_of_int states /. float_of_int (max 1 s.Cost.is_full)
+          in
+          let states_per_sec = float_of_int states /. Float.max dt 1e-9 in
+          let agreed =
+            if jobs = 1 then begin
+              let same =
+                Cost.total_of p.Problem.derived a.Astar.best
+                = a.Astar.best_cost
               in
-              let factor =
-                float_of_int states /. float_of_int (max 1 s.Cost.is_full)
-              in
-              let states_per_sec = float_of_int states /. Float.max dt 1e-9 in
-              let agreed =
-                if jobs = 1 then begin
-                  let slow = Problem.make ~slow_cost:true schema in
-                  let b = Astar.search ~jobs:1 slow in
-                  let same =
-                    b.Astar.best_cost = a.Astar.best_cost
-                    && Config.equal b.Astar.best a.Astar.best
-                    && b.Astar.stats.Astar.expanded = a.Astar.stats.Astar.expanded
-                  in
-                  assert same;
-                  Json.Bool same
-                end
-                else Json.Null (* checked at jobs=1; identical by determinism *)
-              in
-              if name = "4 rel chain" && jobs = 1 then assert (factor >= 3.);
-              T.add_row tbl
-                [
-                  name;
-                  string_of_int jobs;
-                  string_of_int s.Cost.is_full;
-                  string_of_int s.Cost.is_delta;
-                  string_of_int s.Cost.is_reused;
-                  Printf.sprintf "%.1fx" factor;
-                  T.fmt_compact states_per_sec;
-                  (match agreed with Json.Bool true -> "yes" | _ -> "-");
-                ];
-              rows :=
-                Json.Obj
-                  [
-                    ("schema", Json.String name);
-                    ("jobs", Json.Int jobs);
-                    ("full_evals", Json.Int s.Cost.is_full);
-                    ("delta_evals", Json.Int s.Cost.is_delta);
-                    ("reused_evals", Json.Int s.Cost.is_reused);
-                    ("elems_computed", Json.Int s.Cost.is_elems_computed);
-                    ("elems_copied", Json.Int s.Cost.is_elems_copied);
-                    ("cost_evaluations", Json.Int (s.Cost.is_full + s.Cost.is_delta));
-                    ("eval_reduction_factor", Json.Float factor);
-                    ("states_per_sec", Json.Float states_per_sec);
-                    ("seconds", Json.Float dt);
-                    ("slow_path_agreed", agreed);
-                  ]
-                :: !rows)
+              assert same;
+              Json.Bool same
+            end
+            else Json.Null (* checked at jobs=1; identical by determinism *)
+          in
+          if name = "4 rel chain" && jobs = 1 then assert (factor >= 3.);
+          T.add_row tbl
+            [
+              name;
+              string_of_int jobs;
+              string_of_int s.Cost.is_full;
+              string_of_int s.Cost.is_delta;
+              string_of_int s.Cost.is_reused;
+              Printf.sprintf "%.1fx" factor;
+              T.fmt_compact states_per_sec;
+              (match agreed with Json.Bool true -> "yes" | _ -> "-");
+            ];
+          rows :=
+            Json.Obj
+              [
+                ("schema", Json.String name);
+                ("jobs", Json.Int jobs);
+                ("full_evals", Json.Int s.Cost.is_full);
+                ("delta_evals", Json.Int s.Cost.is_delta);
+                ("reused_evals", Json.Int s.Cost.is_reused);
+                ("elems_computed", Json.Int s.Cost.is_elems_computed);
+                ("elems_copied", Json.Int s.Cost.is_elems_copied);
+                ("cost_evaluations", Json.Int (s.Cost.is_full + s.Cost.is_delta));
+                ("eval_reduction_factor", Json.Float factor);
+                ("states_per_sec", Json.Float states_per_sec);
+                ("seconds", Json.Float dt);
+                ("reference_agreed", agreed);
+              ]
+            :: !rows)
         [ 1; 4 ])
     cases;
   T.print tbl;
@@ -932,8 +927,8 @@ let incremental_costing () =
   print_endline
     "\"evals saved\": states costed per configuration costed from scratch —\n\
      delta-costing re-derives only the elements a flipped feature can affect.\n\
-     At jobs=1 every schema was re-searched through the VISMAT_SLOW_COST\n\
-     structural evaluator and agreed bit-for-bit (optimum, cost, expansions)."
+     At jobs=1 every optimum was re-derived with the reference evaluator\n\
+     (Cost.total_of) and agreed bit-for-bit."
 
 (* ------------------------------------------------------------------ *)
 (* [Extra 10] Fault-injected refresh: the page I/O cost of WAL protection

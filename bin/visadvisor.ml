@@ -217,6 +217,7 @@ let print_cache_stats cache =
   T.add_row tbl [ "misses (= derivations)"; string_of_int s.Cost.cs_misses ];
   T.add_row tbl [ "evictions"; string_of_int s.Cost.cs_evictions ];
   T.add_row tbl [ "entries"; string_of_int s.Cost.cs_entries ];
+  T.add_row tbl [ "longest bucket chain"; string_of_int s.Cost.cs_max_chain ];
   T.add_row tbl
     [ "hit rate"; Printf.sprintf "%.2f%%" (100. *. Cost.hit_rate s) ];
   T.print tbl
@@ -236,10 +237,7 @@ let emit_json ~schema_name ~algorithm ~schema ~p ~config ~cost ~search_stats
          ("space_pages", Json.Float (Config.space p.Problem.derived config));
          ("search", Search_stats.to_json search_stats);
          ("cache", Cost.cache_stats_json p.Problem.cache);
-         ( "incremental_costing",
-           match p.Problem.encoding with
-           | Some enc -> Cost.incr_stats_json enc
-           | None -> Json.Null );
+         ("incremental_costing", Cost.incr_stats_json (Option.get p.Problem.encoding));
          ("explain", Vis_core.Explain.report_json report);
        ]
       @ extra)
@@ -262,11 +260,8 @@ let emit_human ~stats ~trace ~schema ~p ~config ~search_stats () =
     print_string (Search_stats.render search_stats);
     print_newline ();
     print_cache_stats p.Problem.cache;
-    match p.Problem.encoding with
-    | Some enc ->
-        print_newline ();
-        print_incr_stats enc
-    | None -> ()
+    print_newline ();
+    print_incr_stats (Option.get p.Problem.encoding)
   end;
   if trace then begin
     print_newline ();

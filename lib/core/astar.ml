@@ -353,16 +353,6 @@ let prepare ~pool p =
 
 (* ------------------------------------------------------------------ *)
 
-(* A frontier state is either packed (a feature mask with its incremental
-   per-element evaluation, used to delta-cost successors) or structural
-   (the fallback when the problem carries no encoding). *)
-type state = Packed of Cost.ieval | Plain of Config.t
-
-(* A successor awaiting evaluation: the packed form carries the parent's
-   evaluation so [eval_state] can cost it incrementally ([None] only for
-   the root). *)
-type succ = PSucc of int * Cost.ieval option | USucc of Config.t
-
 type certificate = Optimal | Bounded of { lower_bound : float; gap : float }
 
 (* Growable float buffer: the popped-[ĉ] audit trail, one per shard. *)
@@ -389,10 +379,10 @@ end
    every global counter and the winning configuration independent of the
    pool width. *)
 type shard = {
-  sq : (int * state * float) Pqueue.t;  (* (pos, state, g) at priority ĉ *)
+  sq : (int * Cost.ieval * float) Pqueue.t;  (* (pos, state, g) at priority ĉ *)
   s_popped : Fbuf.t;
   mutable s_bound : float;  (* round-start global bound, improved locally *)
-  mutable s_best : (float * state) option;  (* best completion found here *)
+  mutable s_best : (float * Cost.ieval) option;  (* best completion found here *)
   mutable s_done : bool;
   mutable s_dropped_lb : float;  (* smallest beam-dropped ĉ; ∞ if none *)
   mutable s_complete : float;  (* cost of own popped completion; ∞ if none *)
@@ -429,24 +419,12 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
   (match List.length prep.dropped with
   | 0 -> ()
   | n -> Search_stats.prune ~count:n sstats "dominance");
-  (* Packed search state: prep position [k] decides universe bit
-     [prep_bit.(k)] (the dominance fixpoint kept a subset of the problem's
-     features, so the two numberings differ). *)
-  let packed =
-    match Config_id.of_problem p with
-    | None -> None
-    | Some cid -> (
-        try
-          let prep_bit =
-            Array.map
-              (fun f ->
-                match Config_id.bit_of_feature cid f with
-                | Some b -> b
-                | None -> raise Exit)
-              prep.features
-          in
-          Some (cid, prep_bit)
-        with Exit -> None)
+  (* Search state: prep position [k] decides universe bit [prep_bit.(k)]
+     (the dominance fixpoint kept a subset of the problem's features, so
+     the two numberings differ). *)
+  let cid = Config_id.of_problem p in
+  let prep_bit =
+    Array.map (fun f -> Option.get (Config_id.bit_of_feature cid f)) prep.features
   in
   let n = Array.length prep.features in
   let n_targets = Array.length prep.targets in
@@ -468,9 +446,6 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
         ~violated:(popped.Fbuf.a.(i) > optimum +. 1e-6)
     done
   in
-  (* The state-dependent predicates take the configuration as a membership
-     closure [hv : view -> bool], so the packed path (mask test) and the
-     structural path ([Config.has_view]) share one implementation. *)
   let eligible hv pos k =
     match prep.features.(k) with
     | Problem.F_view _ | Problem.F_compress _ -> true
@@ -581,32 +556,22 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
      queue mutation and counter bump sequentially on the coordinator, in the
      same order the all-sequential code would.  [g] and [ĉ] do not read the
      incumbent bound, so evaluating successors concurrently and committing
-     them in order is bit-identical to sequential search. *)
-  let eval_state (pos, s) =
-    match s with
-    | USucc config ->
-        let eval = Problem.evaluator p config in
-        let g = Cost.total eval in
-        let c_hat = g +. h_hat eval (Config.has_view config) pos in
-        (pos, Plain config, g, c_hat)
-    | PSucc (mask, parent) ->
-        let cid, _ = Option.get packed in
-        let ie =
-          match parent with
-          | None -> Config_id.eval cid mask
-          | Some pie -> Config_id.eval_from cid pie mask
-        in
-        let g = Cost.ieval_total ie in
-        let eval = Config_id.evaluator cid mask in
-        let c_hat = g +. h_hat eval (Config_id.has_view cid mask) pos in
-        (pos, Packed ie, g, c_hat)
+     them in order is bit-identical to sequential search.  A frontier state
+     is the incremental evaluation of its mask, which successors are
+     delta-costed from; a successor awaiting evaluation is its mask plus
+     the parent's evaluation ([None] only for the root). *)
+  let eval_state (pos, (mask, parent)) =
+    let ie =
+      match parent with
+      | None -> Config_id.eval cid mask
+      | Some pie -> Config_id.eval_from cid pie mask
+    in
+    let g = Cost.ieval_total ie in
+    let eval = Config_id.evaluator cid mask in
+    let c_hat = g +. h_hat eval (Config_id.has_view cid mask) pos in
+    (pos, ie, g, c_hat)
   in
-  let config_of_state = function
-    | Plain config -> config
-    | Packed ie ->
-        let cid, _ = Option.get packed in
-        Config_id.config_of_mask cid (Cost.ieval_mask ie)
-  in
+  let config_of_state ie = Config_id.config_of_mask cid (Cost.ieval_mask ie) in
   let commit (pos, st, g, c_hat) =
     Search_stats.evaluate sstats;
     if c_hat <= !upper_bound +. 1e-9 then begin
@@ -624,51 +589,19 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
   (* Successor generation shared by the sequential, prefix and shard phases;
      [inel] is charged when an index position is skipped as ineligible (the
      phases count it in different scoreboards). *)
-  let successors ~inel pos st =
-    match st with
-    | Packed ie -> begin
-        let cid, prep_bit = Option.get packed in
-        let mask = Cost.ieval_mask ie in
-        let with_f = mask lor (1 lsl prep_bit.(pos)) in
-        match prep.features.(pos) with
-        | Problem.F_view _ | Problem.F_compress _ ->
-            [|
-              (pos + 1, PSucc (mask, Some ie));
-              (pos + 1, PSucc (with_f, Some ie));
-            |]
-        | Problem.F_index _ ->
-            if eligible (Config_id.has_view cid mask) pos pos then
-              [|
-                (pos + 1, PSucc (mask, Some ie));
-                (pos + 1, PSucc (with_f, Some ie));
-              |]
-            else begin
-              inel ();
-              [| (pos + 1, PSucc (mask, Some ie)) |]
-            end
-      end
-    | Plain config -> (
-        match prep.features.(pos) with
-        | Problem.F_view w ->
-            [|
-              (pos + 1, USucc config);
-              (pos + 1, USucc (Config.add_view config w));
-            |]
-        | Problem.F_compress e ->
-            [|
-              (pos + 1, USucc config);
-              (pos + 1, USucc (Config.add_compress config e));
-            |]
-        | Problem.F_index ix ->
-            if eligible (Config.has_view config) pos pos then
-              [|
-                (pos + 1, USucc config);
-                (pos + 1, USucc (Config.add_index config ix));
-              |]
-            else begin
-              inel ();
-              [| (pos + 1, USucc config) |]
-            end)
+  let successors ~inel pos ie =
+    let mask = Cost.ieval_mask ie in
+    let without = (pos + 1, (mask, Some ie)) in
+    let with_f () = (pos + 1, (Config_id.add cid mask prep_bit.(pos), Some ie)) in
+    match prep.features.(pos) with
+    | Problem.F_view _ | Problem.F_compress _ -> [| without; with_f () |]
+    | Problem.F_index _ ->
+        if eligible (Config_id.has_view cid mask) pos pos then
+          [| without; with_f () |]
+        else begin
+          inel ();
+          [| without |]
+        end
   in
   (* Beam trim with hysteresis: only once the queue outgrows twice the beam,
      keep the [b] best entries and discard the rest.  [on_drop] receives the
@@ -779,13 +712,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
   let shard_loop () =
     let budget_hit = ref false in
     let depth = min shard_prefix_depth (n - 1) in
-    let root =
-      eval_state
-        ( 0,
-          match packed with
-          | Some _ -> PSucc (0, None)
-          | None -> USucc Config.empty )
-    in
+    let root = eval_state (0, (Config_id.empty cid, None)) in
     Search_stats.evaluate sstats;
     let level =
       ref
@@ -1045,12 +972,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
       Search_stats.time sstats "search" (fun () ->
           if use_shard then shard_loop ()
           else begin
-            commit
-              (eval_state
-                 ( 0,
-                   match packed with
-                   | Some _ -> PSucc (0, None)
-                   | None -> USucc Config.empty ));
+            commit (eval_state (0, (Config_id.empty cid, None)));
             seq_loop ()
           end))
 

@@ -1,58 +1,43 @@
 module Bitset = Vis_util.Bitset
+module Wmask = Vis_util.Wmask
 module Element = Vis_costmodel.Element
 module Config = Vis_costmodel.Config
 module Cost = Vis_costmodel.Cost
+
+type mask = Wmask.t
 
 type t = {
   problem : Problem.t;
   enc : Cost.encoding;
   features : Config.feature array;
-  view_bits : int;  (* mask of the bits that are supporting views *)
-  closure : int array;
+  closure : mask array;
       (* closure.(b): every bit that must be dropped together with [b] — the
          bit itself, plus, for a view, the bits of its indexes *)
-  requires : int array;
-      (* requires.(b): bits that must be present for [b] to be applicable —
-         the view bit for an index on a candidate view, else 0 *)
+  owner : int array;
+      (* owner.(b): the view bit that must be present for [b] to be
+         applicable — set for an index on a candidate view, else -1 *)
 }
 
 let of_problem (p : Problem.t) =
-  match p.Problem.encoding with
-  | None -> None
-  | Some enc ->
-      let features = Cost.encoding_features enc in
-      let n = Array.length features in
-      let bit_of_view = Hashtbl.create 16 in
-      let view_bits = ref 0 in
-      Array.iteri
-        (fun b f ->
-          match f with
-          | Config.F_view w ->
-              Hashtbl.replace bit_of_view (Bitset.to_int w) b;
-              view_bits := !view_bits lor (1 lsl b)
-          | Config.F_index _ | Config.F_compress _ -> ())
-        features;
-      let owner_bit f =
-        match f with
-        (* Compression only targets always-materialized elements, so like
-           base/primary indexes it has no owning view bit. *)
-        | Config.F_view _ | Config.F_compress _ -> None
-        | Config.F_index ix -> (
-            match ix.Element.ix_elem with
-            | Element.Base _ -> None
-            | Element.View w -> Hashtbl.find_opt bit_of_view (Bitset.to_int w))
-      in
-      let closure = Array.init n (fun b -> 1 lsl b) in
-      let requires = Array.make n 0 in
-      Array.iteri
-        (fun b f ->
-          match owner_bit f with
-          | Some vb ->
-              closure.(vb) <- closure.(vb) lor (1 lsl b);
-              requires.(b) <- 1 lsl vb
-          | None -> ())
-        features;
-      Some { problem = p; enc; features; view_bits = !view_bits; closure; requires }
+  let enc = Option.get p.Problem.encoding in
+  let features = Cost.encoding_features enc in
+  let n = Array.length features in
+  let owner_bit f =
+    match f with
+    (* Compression only targets always-materialized elements, so like
+       base/primary indexes it has no owning view bit. *)
+    | Config.F_view _ | Config.F_compress _ -> -1
+    | Config.F_index ix -> (
+        match ix.Element.ix_elem with
+        | Element.Base _ -> -1
+        | Element.View w -> (
+            match Cost.view_feature_bit enc w with Some b -> b | None -> -1))
+  in
+  let owner = Array.map owner_bit features in
+  let owned = Array.make n [] in
+  Array.iteri (fun b vb -> if vb >= 0 then owned.(vb) <- b :: owned.(vb)) owner;
+  let closure = Array.init n (fun b -> Wmask.of_list n (b :: owned.(b))) in
+  { problem = p; enc; features; closure; owner }
 
 let problem t = t.problem
 
@@ -64,41 +49,43 @@ let feature t b = t.features.(b)
 
 let bit_of_feature t f = Cost.feature_bit t.enc f
 
+let empty t = Cost.empty_mask t.enc
+
 let mask_of_config t c = Cost.mask_of_config t.enc c
 
 let config_of_mask t m = Cost.config_of_mask t.enc m
 
-let universe t = (1 lsl Array.length t.features) - 1
+let subset = Wmask.subset
 
-let view_bits t = t.view_bits
-
-let subset a b = a land lnot b = 0
-
-let has_feature _t mask b = mask land (1 lsl b) <> 0
+let has_feature _t mask b = Wmask.mem b mask
 
 let has_view t mask w =
   match Cost.view_feature_bit t.enc w with
-  | Some b -> mask land (1 lsl b) <> 0
+  | Some b -> Wmask.mem b mask
   | None -> false
 
-let applicable t mask b = subset t.requires.(b) mask
+let applicable t mask b =
+  let vb = t.owner.(b) in
+  vb < 0 || Wmask.mem vb mask
 
-let add _t mask b = mask lor (1 lsl b)
+let add _t mask b = Wmask.add b mask
 
-let drop t mask b = mask land lnot t.closure.(b)
+let drop t mask b = Wmask.diff mask t.closure.(b)
 
 let closure t b = t.closure.(b)
 
-let requires t b = t.requires.(b)
+let requires t b =
+  let vb = t.owner.(b) in
+  if vb < 0 then empty t else Wmask.add vb (empty t)
 
 let evaluator t mask =
-  Cost.create_masked ~cache:t.problem.Problem.cache t.problem.Problem.derived
-    t.enc mask
+  let p = t.problem in
+  Cost.create_masked ~cache:(Problem.eval_cache p) p.Problem.derived t.enc mask
 
 let eval t mask =
-  Cost.eval_mask ~cache:t.problem.Problem.cache t.problem.Problem.derived
-    t.enc mask
+  let p = t.problem in
+  Cost.eval_mask ~cache:(Problem.eval_cache p) p.Problem.derived t.enc mask
 
 let eval_from t parent mask =
-  Cost.eval_delta ~cache:t.problem.Problem.cache t.problem.Problem.derived
-    parent mask
+  let p = t.problem in
+  Cost.eval_delta ~cache:(Problem.eval_cache p) p.Problem.derived parent mask

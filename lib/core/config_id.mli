@@ -1,21 +1,20 @@
 (** Packed configuration identities for one problem.
 
-    When a problem's candidate features fit in 62 bits (every paper schema
-    does, by orders of magnitude), each configuration is a single [int]
-    mask: bit [b] set iff feature [b] of the problem's universe is chosen.
-    Subset, dominance, and frontier-dedup tests become single-word bit
-    operations, and successor costing goes through the incremental
-    delta-evaluator ({!Vis_costmodel.Cost.eval_delta}) instead of
-    re-deriving the whole plan.
-
-    [of_problem] returns [None] when the problem carries no encoding —
-    more than 62 features, the [slow_cost] escape hatch, or the no-sharing
-    ablation — and searches fall back to their structural paths.  Both
-    paths are bit-identical in chosen optima and costs. *)
+    Every problem's candidate features are numbered into bits, and each
+    configuration is one fixed-width {!Vis_util.Wmask.t}: bit [b] set iff
+    feature [b] of the problem's universe is chosen.  The mask type is the
+    same at every universe size (62 features per word).  Subset, dominance
+    and frontier-dedup tests are word-wise bit operations, and successor
+    costing goes through the incremental delta-evaluator
+    ({!Vis_costmodel.Cost.eval_delta}) instead of re-deriving the whole
+    plan.  Totals are bitwise equal to {!Vis_costmodel.Cost.total_of} of
+    the decoded configuration. *)
 
 type t
 
-val of_problem : Problem.t -> t option
+type mask = Vis_util.Wmask.t
+
+val of_problem : Problem.t -> t
 
 val problem : t -> Problem.t
 
@@ -28,48 +27,45 @@ val feature : t -> int -> Problem.feature
 
 val bit_of_feature : t -> Problem.feature -> int option
 
+(** The empty configuration. *)
+val empty : t -> mask
+
 (** [None] when the configuration uses a feature outside the universe. *)
-val mask_of_config : t -> Vis_costmodel.Config.t -> int option
+val mask_of_config : t -> Vis_costmodel.Config.t -> mask option
 
 (** Decode to the canonical symbolic configuration. *)
-val config_of_mask : t -> int -> Vis_costmodel.Config.t
+val config_of_mask : t -> mask -> Vis_costmodel.Config.t
 
-(** The mask with every feature chosen. *)
-val universe : t -> int
+(** [subset a b] — is configuration [a] contained in [b]? *)
+val subset : mask -> mask -> bool
 
-(** The mask of bits that are supporting views. *)
-val view_bits : t -> int
+val has_feature : t -> mask -> int -> bool
 
-(** [subset a b] — is configuration [a] contained in [b]?  One AND. *)
-val subset : int -> int -> bool
-
-val has_feature : t -> int -> int -> bool
-
-val has_view : t -> int -> Vis_util.Bitset.t -> bool
+val has_view : t -> mask -> Vis_util.Bitset.t -> bool
 
 (** [applicable t mask b]: can feature [b] be added to [mask]?  (An index
     on a candidate view requires the view to be materialized.) *)
-val applicable : t -> int -> int -> bool
+val applicable : t -> mask -> int -> bool
 
-val add : t -> int -> int -> int
+val add : t -> mask -> int -> mask
 
 (** [drop t mask b] removes feature [b] {e and its closure}: dropping a
     view also drops the indexes built on it. *)
-val drop : t -> int -> int -> int
+val drop : t -> mask -> int -> mask
 
 (** The bits removed by [drop _ _ b]: [b] plus, for a view, its indexes. *)
-val closure : t -> int -> int
+val closure : t -> int -> mask
 
-(** The bits required for [b] to be applicable ([0] or one view bit). *)
-val requires : t -> int -> int
+(** The bits required for [b] to be applicable (empty, or one view bit). *)
+val requires : t -> int -> mask
 
-(** A cost evaluator over the packed configuration, sharing the problem's
-    memo cache ({!Problem.evaluator} for masks). *)
-val evaluator : t -> int -> Vis_costmodel.Cost.t
+(** A cost evaluator over the packed configuration, on the problem's
+    {!Problem.eval_cache}. *)
+val evaluator : t -> mask -> Vis_costmodel.Cost.t
 
 (** Cost a configuration from scratch. *)
-val eval : t -> int -> Vis_costmodel.Cost.ieval
+val eval : t -> mask -> Vis_costmodel.Cost.ieval
 
 (** Cost a configuration incrementally from a neighbour's evaluation. *)
 val eval_from :
-  t -> Vis_costmodel.Cost.ieval -> int -> Vis_costmodel.Cost.ieval
+  t -> Vis_costmodel.Cost.ieval -> mask -> Vis_costmodel.Cost.ieval

@@ -1,6 +1,3 @@
-module Bitset = Vis_util.Bitset
-module Schema = Vis_catalog.Schema
-module Element = Vis_costmodel.Element
 module Config = Vis_costmodel.Config
 
 type result = {
@@ -11,54 +8,9 @@ type result = {
   search_stats : Search_stats.t;
 }
 
-let feature_in config = function
-  | Problem.F_view w -> Config.has_view config w
-  | Problem.F_index ix ->
-      Config.has_index config ix.Element.ix_elem ix.Element.ix_attr
-  | Problem.F_compress e -> Config.has_compress config e
-
-let applicable p config = function
-  | Problem.F_view _ -> true
-  | Problem.F_index ix -> (
-      match ix.Element.ix_elem with
-      | Element.Base _ -> true
-      | Element.View w ->
-          Bitset.equal w (Schema.all_relations p.Problem.schema)
-          || Config.has_view config w)
-  (* Compression candidates are always-materialized elements. *)
-  | Problem.F_compress _ -> true
-
-let add config = function
-  | Problem.F_view w -> Config.add_view config w
-  | Problem.F_index ix -> Config.add_index config ix
-  | Problem.F_compress e -> Config.add_compress config e
-
-(* Dropping a view also drops the indexes living on it. *)
-let drop config = function
-  | Problem.F_view w ->
-      let config = Config.remove_view config w in
-      List.fold_left
-        (fun c ix ->
-          if Element.equal ix.Element.ix_elem (Element.View w) then
-            Config.remove_index c ix
-          else c)
-        config (Config.indexes config)
-  | Problem.F_index ix -> Config.remove_index config ix
-  | Problem.F_compress e -> Config.remove_compress config e
-
 let search ?seed ?space_budget ?(max_moves = 1000) p =
   let sstats = Search_stats.create ~algorithm:"local-search" () in
   let evaluations = ref 0 in
-  let cost config =
-    incr evaluations;
-    Search_stats.evaluate sstats;
-    Problem.total p config
-  in
-  let within config =
-    match space_budget with
-    | None -> true
-    | Some b -> Config.space p.Problem.derived config <= b
-  in
   let start =
     match seed with
     | Some c -> c
@@ -66,11 +18,23 @@ let search ?seed ?space_budget ?(max_moves = 1000) p =
         Search_stats.time sstats "greedy-seed" (fun () ->
             (Greedy.search ?space_budget p).Greedy.best)
   in
-  (* Packed hill-climb: masks for states, closure masks for drops,
-     incremental costing for every considered neighbour.  Candidate order,
-     counter bumps, and tie-breaking mirror the structural [climb] below
-     exactly, so both paths pick the same local optimum bit-for-bit. *)
-  let rec packed_climb cid mask ieval current moves =
+  let cid = Config_id.of_problem p in
+  let m0 =
+    match Config_id.mask_of_config cid start with
+    | Some m -> m
+    | None ->
+        invalid_arg "Local_search.search: seed uses a feature outside the problem"
+  in
+  let within mask =
+    match space_budget with
+    | None -> true
+    | Some b -> Config.space p.Problem.derived (Config_id.config_of_mask cid mask) <= b
+  in
+  (* Hill-climb over masks: closure masks for drops, incremental costing
+     for every considered neighbour.  Candidates ascend in
+     [Problem.features] order; adds are tried before drops before swaps,
+     and ties keep the earlier neighbour. *)
+  let rec climb mask ieval current moves =
     if moves >= max_moves then begin
       Search_stats.prune sstats "move-budget";
       (mask, current, moves)
@@ -88,12 +52,7 @@ let search ?seed ?space_budget ?(max_moves = 1000) p =
       Search_stats.observe_frontier sstats
         (List.length candidates_in + List.length candidates_out);
       let consider best mask' =
-        let ok =
-          match space_budget with
-          | None -> true
-          | Some _ -> within (Config_id.config_of_mask cid mask')
-        in
-        if not ok then begin
+        if not (within mask') then begin
           Search_stats.prune sstats "space-budget";
           best
         end
@@ -135,89 +94,22 @@ let search ?seed ?space_budget ?(max_moves = 1000) p =
       in
       match best with
       | None -> (mask, current, moves)
-      | Some (mask', ie, c) -> packed_climb cid mask' ie c (moves + 1)
-    end
-  in
-  let rec climb config current moves =
-    if moves >= max_moves then begin
-      Search_stats.prune sstats "move-budget";
-      (config, current, moves)
-    end
-    else begin
-      Search_stats.expand sstats;
-      let candidates_in =
-        List.filter (fun f -> feature_in config f) p.Problem.features
-      in
-      let candidates_out =
-        List.filter
-          (fun f -> (not (feature_in config f)) && applicable p config f)
-          p.Problem.features
-      in
-      Search_stats.observe_frontier sstats
-        (List.length candidates_in + List.length candidates_out);
-      let consider best config' =
-        if not (within config') then begin
-          Search_stats.prune sstats "space-budget";
-          best
-        end
-        else begin
-          Search_stats.generate sstats;
-          let c = cost config' in
-          match best with
-          | Some (_, bc) when bc <= c -> best
-          | _ when c < current -> Some (config', c)
-          | _ -> best
-        end
-      in
-      let best = List.fold_left (fun b f -> consider b (add config f)) None candidates_out in
-      let best = List.fold_left (fun b f -> consider b (drop config f)) best candidates_in in
-      let best =
-        List.fold_left
-          (fun b f_out ->
-            List.fold_left
-              (fun b f_in ->
-                let config' = drop config f_in in
-                (* The added feature must still be applicable after the drop
-                   (e.g. not an index on the dropped view). *)
-                if applicable p config' f_out then consider b (add config' f_out)
-                else b)
-              b candidates_in)
-          best candidates_out
-      in
-      match best with
-      | None -> (config, current, moves)
-      | Some (config', c) -> climb config' c (moves + 1)
+      | Some (mask', ie, c) -> climb mask' ie c (moves + 1)
     end
   in
   Search_stats.generate sstats;
   (* the seed configuration *)
-  let packed =
-    match Config_id.of_problem p with
-    | Some cid -> (
-        match Config_id.mask_of_config cid start with
-        | Some m -> Some (cid, m)
-        | None -> None (* out-of-universe seed: structural path *))
-    | None -> None
+  let ie0 = Config_id.eval cid m0 in
+  incr evaluations;
+  Search_stats.evaluate sstats;
+  let bmask, best_cost, moves =
+    Search_stats.time sstats "climb" (fun () ->
+        climb m0 ie0 (Vis_costmodel.Cost.ieval_total ie0) 0)
   in
-  match packed with
-  | Some (cid, m0) ->
-      let ie0 = Config_id.eval cid m0 in
-      incr evaluations;
-      Search_stats.evaluate sstats;
-      let bmask, best_cost, moves =
-        Search_stats.time sstats "climb" (fun () ->
-            packed_climb cid m0 ie0 (Vis_costmodel.Cost.ieval_total ie0) 0)
-      in
-      {
-        best = Config_id.config_of_mask cid bmask;
-        best_cost;
-        moves;
-        evaluations = !evaluations;
-        search_stats = sstats;
-      }
-  | None ->
-      let seed_cost = cost start in
-      let best, best_cost, moves =
-        Search_stats.time sstats "climb" (fun () -> climb start seed_cost 0)
-      in
-      { best; best_cost; moves; evaluations = !evaluations; search_stats = sstats }
+  {
+    best = Config_id.config_of_mask cid bmask;
+    best_cost;
+    moves;
+    evaluations = !evaluations;
+    search_stats = sstats;
+  }

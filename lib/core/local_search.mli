@@ -21,6 +21,10 @@ type result = {
           pruning counts and timing *)
 }
 
+(** [search ?seed ?space_budget ?max_moves p] climbs from [seed] (default:
+    the greedy solution, under the same [space_budget]).  Raises
+    [Invalid_argument] when [seed] uses a feature outside [p]'s candidate
+    universe. *)
 val search :
   ?seed:Vis_costmodel.Config.t ->
   ?space_budget:float ->

@@ -121,13 +121,8 @@ let candidate_views_of schema ~connected_only ~max_view_rels =
          | 0 -> Bitset.compare a b
          | c -> c)
 
-let slow_cost_env () =
-  match Sys.getenv_opt "VISMAT_SLOW_COST" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
 let make ?(connected_only = false) ?max_view_rels ?(share_cache = true)
-    ?slow_cost ?(compression = false) ?candidates schema =
+    ?(compression = false) ?candidates schema =
   (match max_view_rels with
   | Some k when k < 1 -> invalid_arg "Problem.make: max_view_rels must be >= 1"
   | Some _ | None -> ());
@@ -174,21 +169,7 @@ let make ?(connected_only = false) ?max_view_rels ?(share_cache = true)
           F_view w :: List.map (fun ix -> F_index ix) (indexes_of (Element.View w)))
         candidate_views
   in
-  let slow_cost =
-    match slow_cost with Some b -> b | None -> slow_cost_env ()
-  in
-  (* The packed evaluator shares one memo cache across all masked
-     configurations by construction, so the no-sharing ablation
-     ([share_cache = false]) must also disable it; [slow_cost] (or
-     VISMAT_SLOW_COST=1) keeps the structural evaluator for differential
-     checking. *)
-  let encoding =
-    if slow_cost || not share_cache then None
-    else
-      match Cost.make_encoding derived (Array.of_list features) with
-      | enc -> Some enc
-      | exception Cost.Encoding_too_large _ -> None
-  in
+  let encoding = Some (Cost.make_encoding derived (Array.of_list features)) in
   {
     schema;
     derived;
@@ -225,19 +206,17 @@ let extra_features_for_views p views =
   List.map (fun ix -> F_index ix) (indexes_for_views p views)
   @ List.map (fun e -> F_compress e) p.compress_elems
 
+let eval_cache p = if p.share_cache then p.cache else Cost.new_cache ()
+
 let evaluator p config =
-  match p.encoding with
-  | Some enc -> (
-      (* Packed keys for in-universe configurations; anything outside the
-         universe (e.g. Sensitivity costing an arbitrary configuration)
-         falls back to the structural keying, which shares the same cache
-         disjointly. *)
-      match Cost.mask_of_config enc config with
-      | Some mask -> Cost.create_masked ~cache:p.cache p.derived enc mask
-      | None -> Cost.create ~cache:p.cache p.derived config)
-  | None ->
-      if p.share_cache then Cost.create ~cache:p.cache p.derived config
-      else Cost.create p.derived config
+  let cache = eval_cache p in
+  (* Packed keys for in-universe configurations; anything outside the
+     universe (e.g. Sensitivity costing an arbitrary configuration) is keyed
+     structurally, which shares the same cache disjointly. *)
+  let enc = Option.get p.encoding in
+  match Cost.mask_of_config enc config with
+  | Some mask -> Cost.create_masked ~cache p.derived enc mask
+  | None -> Cost.create ~cache p.derived config
 
 let total p config = Cost.total (evaluator p config)
 

@@ -43,7 +43,7 @@ type t = {
   derived : Vis_catalog.Derived.t;
   cache : Vis_costmodel.Cost.cache;
   share_cache : bool;
-      (** when false, {!evaluator} gives every configuration a private cache
+      (** when false, every evaluation gets a private cache ({!eval_cache})
           — the memoization ablation used by tests and the benchmark *)
   candidate_views : Vis_util.Bitset.t list;  (** sorted by cardinality *)
   compress_elems : Vis_costmodel.Element.t list;
@@ -56,10 +56,9 @@ type t = {
           its indexes, compression then base-relation and primary-view
           indexes first (all state-independent) *)
   encoding : Vis_costmodel.Cost.encoding option;
-      (** the problem's feature universe numbered into bits, when it fits in
-          62 features and neither [slow_cost] nor the no-sharing ablation
-          disabled it; searches use it via {!Config_id} for packed states
-          and incremental delta-costing *)
+      (** the problem's feature universe numbered into bits — always
+          [Some], at every universe size; searches use it via {!Config_id}
+          for packed states and incremental delta-costing *)
   restricted : candidates option;
       (** the mined candidate restriction [make] was given, if any; consulted
           by {!candidate_indexes_on} so index enumeration and validation stay
@@ -69,16 +68,13 @@ type t = {
 (** [make schema] enumerates the candidates.  [max_view_rels] caps candidate
     supporting views to subsets of at most that many relations — the
     candidate-pruning knob for star/snowflake schemas whose full subset
-    lattice is intractable (and overflows the 62-bit packed encoding); the
-    always-on base and primary-view indexes are unaffected, and the default
-    ([None]) keeps the paper's complete enumeration.  [share_cache] (default true)
-    makes every {!evaluator} share one {!Vis_costmodel.Cost.cache}, so cost
-    derivations are reused across the many configurations a search visits;
-    disabling it isolates each evaluation (for measuring what memoization
-    saves) and also disables the packed encoding.  [slow_cost] (default: the
-    [VISMAT_SLOW_COST] environment variable, true when set non-empty and
-    non-zero) forces the structural evaluator everywhere — the escape hatch
-    kept alive for differential checking of the packed path.  [compression]
+    lattice is intractable; the always-on base and primary-view indexes
+    are unaffected, and the default ([None]) keeps the paper's complete
+    enumeration.  [share_cache] (default true) makes every evaluation share
+    one {!Vis_costmodel.Cost.cache}, so cost derivations are reused across
+    the many configurations a search visits; disabling it gives each
+    evaluation a private cache (for measuring what memoization saves) and
+    changes nothing else.  [compression]
     (default false) adds an [F_compress] candidate per always-materialized
     element — a new axis the searches trade on: compressed elements cost
     roughly half the I/Os but a CPU surcharge per page (see
@@ -91,7 +87,6 @@ val make :
   ?connected_only:bool ->
   ?max_view_rels:int ->
   ?share_cache:bool ->
-  ?slow_cost:bool ->
   ?compression:bool ->
   ?candidates:candidates ->
   Vis_catalog.Schema.t ->
@@ -120,7 +115,14 @@ val compress_candidates : t -> Vis_costmodel.Element.t list
     enumerates subsets of this list per view state. *)
 val extra_features_for_views : t -> Vis_util.Bitset.t list -> feature list
 
-(** [evaluator p config] is a cost evaluator sharing the problem's cache. *)
+(** [eval_cache p] is the memo cache one evaluation runs against: the
+    problem's shared [cache], or a fresh private one per call under the
+    no-sharing ablation ([share_cache = false]). *)
+val eval_cache : t -> Vis_costmodel.Cost.cache
+
+(** [evaluator p config] is a cost evaluator on {!eval_cache}: packed keys
+    when [config] lies in the problem's universe, structural keys when it
+    does not. *)
 val evaluator : t -> Vis_costmodel.Config.t -> Vis_costmodel.Cost.t
 
 (** [total p config] is the total maintenance cost of [config]. *)

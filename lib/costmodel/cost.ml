@@ -1,4 +1,5 @@
 module Bitset = Vis_util.Bitset
+module Wmask = Vis_util.Wmask
 module Num = Vis_util.Num
 module Schema = Vis_catalog.Schema
 module Derived = Vis_catalog.Derived
@@ -31,13 +32,13 @@ type memo_value =
 
 (* Memoization keys: (element code, kind, relation, restricted feature
    bitmask, restricted-configuration signature).  Evaluators over a
-   problem's numbered feature universe key by the restricted bitmask alone
-   (4th slot >= 0, empty signature) — a single-word key with no allocation
-   per restriction; evaluators for configurations outside any universe fall
-   back to the structural signature (4th slot = -1).  The two key spaces are
-   disjoint, so both kinds can share one cache.  A custom hash mixes the
-   whole signature — the polymorphic hash only samples a prefix, which
-   collides badly when enumerating index subsets. *)
+   problem's numbered feature universe key by the configuration's mask
+   restricted to the element's relevance mask: word 0 goes in the 4th slot
+   (>= 0) and the higher words in the 5th, cut after the last non-zero
+   word, so universes of up to 62 features build no list at all.
+   Evaluators for configurations outside the universe key by the structural
+   signature (4th slot = -1).  The two key spaces are disjoint, so both
+   kinds can share one cache. *)
 module Key = struct
   type t = int * int * int * int * int list
 
@@ -52,10 +53,22 @@ module Key = struct
     in
     eq l1 l2
 
+  (* Every bit of every field reaches the result: each step multiplies by
+     an odd constant (carrying low bits upwards) and folds the high half
+     back down, and a final avalanche spreads the last field over the low
+     bits that [Hashtbl] indexes buckets by.  Mask words are 62 bits wide,
+     so a hash that kept only the low 32 bits of each field would drop
+     their upper features and chain whole families of keys into one
+     bucket. *)
+  let mix h x =
+    let h = (h lxor x) * 0x4f1bbcdcbfa53e0b in
+    h lxor (h lsr 29)
+
   let hash (a, b, c, m, l) =
-    let mix h x = (h * 0x01000193) lxor (x land 0xffffffff) in
-    let h = mix (mix (mix (mix 0x811c9dc5 a) b) c) m in
-    List.fold_left mix h l land max_int
+    let h = mix (mix (mix (mix 0x2545f4914f6cdd1d a) b) c) m in
+    let h = List.fold_left mix h l in
+    let h = (h lxor (h lsr 32)) * 0x6b3a9cf1d8e5a473 in
+    (h lxor (h lsr 31)) land max_int
 end
 
 module Ktbl = Hashtbl.Make (Key)
@@ -88,6 +101,7 @@ type cache_stats = {
   cs_misses : int;
   cs_evictions : int;
   cs_entries : int;
+  cs_max_chain : int;
 }
 
 let new_stripe s_capacity =
@@ -125,11 +139,9 @@ let new_cache ?(capacity = 0) () : cache =
 
 let stripe_of c key =
   (* The table inside each stripe indexes buckets by the low bits of
-     [Key.hash]; pick the stripe from remixed high bits so striping does not
-     empty out bucket ranges. *)
-  let h = Key.hash key in
-  let h = h lxor (h lsr 29) in
-  c.stripes.(((h lsr 16) lxor h) land c.mask)
+     [Key.hash]; the stripe comes from bits 56 and up, which no table grows
+     large enough to index by, so striping empties out no bucket range. *)
+  c.stripes.((Key.hash key lsr 56) land c.mask)
 
 let locked s f =
   Mutex.lock s.lock;
@@ -151,8 +163,16 @@ let cache_stats c =
             cs_misses = acc.cs_misses + s.misses;
             cs_evictions = acc.cs_evictions + s.evictions;
             cs_entries = acc.cs_entries + Ktbl.length s.tbl;
+            cs_max_chain =
+              max acc.cs_max_chain (Ktbl.stats s.tbl).Hashtbl.max_bucket_length;
           }))
-    { cs_hits = 0; cs_misses = 0; cs_evictions = 0; cs_entries = 0 }
+    {
+      cs_hits = 0;
+      cs_misses = 0;
+      cs_evictions = 0;
+      cs_entries = 0;
+      cs_max_chain = 0;
+    }
     c.stripes
 
 let hit_rate s =
@@ -176,6 +196,7 @@ let cache_stats_json c =
       ("misses", Vis_util.Json.Int s.cs_misses);
       ("evictions", Vis_util.Json.Int s.cs_evictions);
       ("entries", Vis_util.Json.Int s.cs_entries);
+      ("max_chain", Vis_util.Json.Int s.cs_max_chain);
       ("hit_rate", Vis_util.Json.Float (hit_rate s));
     ]
 
@@ -224,16 +245,14 @@ let index_sig_code schema ix =
 
 (* ------------------------------------------------------------------ *)
 (* Feature encoding: a problem's candidate features (views + indexes)
-   numbered once into bits 0..61, so a configuration drawn from that
-   universe is a single [int] mask.  The encoding also precomputes, per
+   numbered once into bits, so a configuration drawn from that universe is
+   one fixed-width {!Wmask.t}.  The encoding also precomputes, per
    maintained element, the *relevance mask* — the bits of features whose
    relation set is contained in the element's (exactly the features
    [Config.restrict] would keep) — so the memoization key of an element
-   under mask [m] is just [m land relevance].  Everything here is immutable
-   after construction (the counters are atomics), so encodings are shared
-   freely across worker domains. *)
-
-exception Encoding_too_large of int
+   under mask [m] is [m ∩ relevance].  Everything here is immutable after
+   construction (the counters are atomics), so encodings are shared freely
+   across worker domains. *)
 
 type incr_stats = {
   is_full : int;  (** configurations costed from scratch *)
@@ -249,7 +268,7 @@ type encoding = {
   en_view_bit : (int, int) Hashtbl.t;  (* view-set int -> bit *)
   en_index_bit : (int, int) Hashtbl.t;  (* index signature code -> bit *)
   en_compress_bit : (int, int) Hashtbl.t;  (* element signature code -> bit *)
-  en_relevance : (int, int) Hashtbl.t;  (* relation-set int -> relevance mask *)
+  en_relevance : (int, Wmask.t) Hashtbl.t;  (* relation-set int -> relevance mask *)
   en_n_rels : int;
   (* Incremental-evaluation slots: base relations 0..n-1, then the
      candidate views ascending by [Bitset.compare] (the order [Config.views]
@@ -257,7 +276,7 @@ type encoding = {
      view.  [en_slot_elems]/[en_slot_relevance]/[en_slot_bit] describe each
      slot; [en_slot_bit] is -1 for always-maintained slots. *)
   en_slot_elems : Element.t array;
-  en_slot_relevance : int array;
+  en_slot_relevance : Wmask.t array;
   en_slot_bit : int array;
   (* Exact work counters for the incremental evaluator. *)
   en_full : int Atomic.t;
@@ -268,16 +287,14 @@ type encoding = {
 }
 
 let compute_relevance features rels =
-  let m = ref 0 in
+  let bits = ref [] in
   Array.iteri
-    (fun i f -> if Bitset.subset (Config.feature_rels f) rels then m := !m lor (1 lsl i))
+    (fun i f -> if Bitset.subset (Config.feature_rels f) rels then bits := i :: !bits)
     features;
-  !m
+  Wmask.of_list (Array.length features) !bits
 
 let make_encoding derived features =
   let schema = Derived.schema derived in
-  let n_features = Array.length features in
-  if n_features > 62 then raise (Encoding_too_large n_features);
   let view_bit = Hashtbl.create 32 in
   let index_bit = Hashtbl.create 64 in
   let compress_bit = Hashtbl.create 16 in
@@ -364,48 +381,33 @@ let view_feature_bit enc w = Hashtbl.find_opt enc.en_view_bit (Bitset.to_int w)
 
 exception Out_of_universe
 
+let empty_mask enc = Wmask.empty (Array.length enc.en_features)
+
 let mask_of_config enc config =
+  let bit = function Some b -> b | None -> raise Out_of_universe in
   match
-    let m =
-      List.fold_left
-        (fun acc w ->
-          match view_feature_bit enc w with
-          | Some b -> acc lor (1 lsl b)
-          | None -> raise Out_of_universe)
-        0 (Config.views config)
-    in
-    let m =
-      List.fold_left
-        (fun acc ix ->
-          match
-            Hashtbl.find_opt enc.en_index_bit (index_sig_code enc.en_schema ix)
-          with
-          | Some b -> acc lor (1 lsl b)
-          | None -> raise Out_of_universe)
-        m (Config.indexes config)
-    in
-    List.fold_left
-      (fun acc e ->
-        match
-          Hashtbl.find_opt enc.en_compress_bit (elem_sig_code enc.en_schema e)
-        with
-        | Some b -> acc lor (1 lsl b)
-        | None -> raise Out_of_universe)
-      m (Config.compress config)
+    List.map (fun w -> bit (view_feature_bit enc w)) (Config.views config)
+    @ List.map
+        (fun ix ->
+          bit (Hashtbl.find_opt enc.en_index_bit (index_sig_code enc.en_schema ix)))
+        (Config.indexes config)
+    @ List.map
+        (fun e ->
+          bit (Hashtbl.find_opt enc.en_compress_bit (elem_sig_code enc.en_schema e)))
+        (Config.compress config)
   with
-  | m -> Some m
+  | bits -> Some (Wmask.of_list (Array.length enc.en_features) bits)
   | exception Out_of_universe -> None
 
 let config_of_mask enc mask =
   let views = ref [] and indexes = ref [] and compress = ref [] in
-  Array.iteri
-    (fun i f ->
-      if mask land (1 lsl i) <> 0 then
-        match f with
-        | Config.F_view w -> views := w :: !views
-        | Config.F_index ix -> indexes := ix :: !indexes
-        | Config.F_compress e -> compress := e :: !compress)
-    enc.en_features;
+  Wmask.iter
+    (fun i ->
+      match enc.en_features.(i) with
+      | Config.F_view w -> views := w :: !views
+      | Config.F_index ix -> indexes := ix :: !indexes
+      | Config.F_compress e -> compress := e :: !compress)
+    mask;
   List.fold_left Config.add_compress
     (Config.make ~views:!views ~indexes:!indexes)
     !compress
@@ -447,10 +449,21 @@ type structural_keying = {
   mutable prefixes : (int * int list) list;
 }
 
+type masked_keying = {
+  enc : encoding;
+  kmask : Wmask.t;
+  (* The restricted key of the element last looked up, and its code (-1
+     before the first lookup).  Lookups come in runs on one element — its
+     cost, then every delta relation's propagation — so remembering one
+     element serves nearly all of them without a search. *)
+  mutable last_code : int;
+  mutable last_key : int * int list;
+}
+
 type keying =
-  | K_masked of { enc : encoding; kmask : int }
+  | K_masked of masked_keying
       (* a configuration inside a numbered universe: restriction is a mask
-         intersection, keys carry no allocation *)
+         intersection *)
   | K_structural of structural_keying
 
 type t = {
@@ -493,7 +506,7 @@ let create_masked ?cache derived enc mask =
     derived;
     config = lazy (config_of_mask enc mask);
     cache;
-    keying = K_masked { enc; kmask = mask };
+    keying = K_masked { enc; kmask = mask; last_code = -1; last_key = (0, []) };
   }
 
 let config t = Lazy.force t.config
@@ -548,14 +561,31 @@ let elem_prefix k target =
       k.prefixes <- (code, p) :: k.prefixes;
       p
 
+(* [kmask ∩ relevance] as (word 0, higher words up to the last non-zero
+   one) — the layout of {!Key}'s mask slots. *)
+let elem_mask_key m target =
+  let code = elem_code target in
+  if code = m.last_code then m.last_key
+  else begin
+    let rel = relevance m.enc (Element.rels target) in
+    let w i = Wmask.word m.kmask i land Wmask.word rel i in
+    let rec tail i acc =
+      if i = 0 then acc
+      else
+        let x = w i in
+        tail (i - 1) (match acc with [] when x = 0 -> [] | _ -> x :: acc)
+    in
+    let k = (w 0, tail (Wmask.words rel - 1) []) in
+    m.last_code <- code;
+    m.last_key <- k;
+    k
+  end
+
 let memo_key t ~target ~rel ~kind : Key.t =
   match t.keying with
-  | K_masked { enc; kmask } ->
-      ( elem_code target,
-        Char.code kind,
-        rel,
-        kmask land relevance enc (Element.rels target),
-        [] )
+  | K_masked m ->
+      let w0, rest = elem_mask_key m target in
+      (elem_code target, Char.code kind, rel, w0, rest)
   | K_structural k -> (elem_code target, Char.code kind, rel, -1, elem_prefix k target)
 
 (* ------------------------------------------------------------------ *)
@@ -998,7 +1028,7 @@ let total_of ?cache derived config = total (create ?cache derived config)
 
 type ieval = {
   ie_enc : encoding;
-  ie_mask : int;
+  ie_mask : Wmask.t;
   ie_total : float;
   ie_elems : float array;  (* per-slot cost; only active slots meaningful *)
 }
@@ -1009,7 +1039,7 @@ let ieval_mask ie = ie.ie_mask
 
 let slot_active enc mask s =
   let b = enc.en_slot_bit.(s) in
-  b < 0 || mask land (1 lsl b) <> 0
+  b < 0 || Wmask.mem b mask
 
 let eval_mask ?cache derived enc mask =
   Atomic.incr enc.en_full;
@@ -1029,8 +1059,8 @@ let eval_mask ?cache derived enc mask =
 
 let eval_delta ?cache derived parent mask =
   let enc = parent.ie_enc in
-  let changed = parent.ie_mask lxor mask in
-  if changed = 0 then begin
+  let changed = Wmask.xor parent.ie_mask mask in
+  if Wmask.is_empty changed then begin
     Atomic.incr enc.en_reused;
     parent
   end
@@ -1045,7 +1075,7 @@ let eval_delta ?cache derived parent mask =
         (* A slot newly activated by this delta has its own feature bit in
            [changed] (its relevance contains that bit), so stale values from
            a mask where the slot was inactive can never be copied. *)
-        if enc.en_slot_relevance.(s) land changed <> 0 then begin
+        if Wmask.meets enc.en_slot_relevance.(s) changed then begin
           elems.(s) <- element_cost t enc.en_slot_elems.(s);
           Atomic.incr enc.en_elems_computed
         end

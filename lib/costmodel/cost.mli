@@ -50,6 +50,9 @@ type cache_stats = {
   cs_misses : int;
   cs_evictions : int;
   cs_entries : int;  (** entries currently stored *)
+  cs_max_chain : int;
+      (** longest hash-bucket chain of any stripe — how evenly the memo keys
+          hash; a lookup walks at most this many entries *)
 }
 
 val cache_stats : cache -> cache_stats
@@ -163,19 +166,15 @@ val total_of : ?cache:cache -> Vis_catalog.Derived.t -> Config.t -> float
 
 (** {1 Feature encoding and incremental evaluation}
 
-    A problem's candidate features (supporting views and indexes) can be
-    numbered once into bits [0..61]; a configuration drawn from that universe
-    is then a single [int] mask, subset and dominance tests are single-word
-    bit operations, and the memo-cache key of an element under a mask is the
-    mask intersected with the element's precomputed {e relevance mask} — no
-    allocation per restriction.  [Vis_core.Config_id] (which depends on
-    this library) wraps this per problem; the raw machinery lives here so
-    the evaluator and the catalog can share the numbering. *)
-
-(** Raised by {!make_encoding} when the universe exceeds 62 features (the
-    paper's schemas stay far below; callers fall back to the structural
-    evaluator). *)
-exception Encoding_too_large of int
+    A problem's candidate features (supporting views and indexes) are
+    numbered once into bits [0 .. n-1], whatever [n] is; a configuration
+    drawn from that universe is then one fixed-width {!Vis_util.Wmask.t}
+    (62 features per word), subset and dominance tests are word-wise bit
+    operations, and the memo-cache key of an element under a mask is the
+    mask intersected with the element's precomputed {e relevance mask}.
+    [Vis_core.Config_id] (which depends on this library) wraps this per
+    problem; the raw machinery lives here so the evaluator and the catalog
+    can share the numbering. *)
 
 type encoding
 
@@ -187,6 +186,9 @@ val make_encoding : Vis_catalog.Derived.t -> Config.feature array -> encoding
 
 val encoding_features : encoding -> Config.feature array
 
+(** The empty configuration's mask, at the encoding's width. *)
+val empty_mask : encoding -> Vis_util.Wmask.t
+
 (** The bit of a feature, or [None] if it is outside the universe. *)
 val feature_bit : encoding -> Config.feature -> int option
 
@@ -195,18 +197,19 @@ val view_feature_bit : encoding -> Vis_util.Bitset.t -> int option
 
 (** [mask_of_config enc c] packs a symbolic configuration, or [None] when any
     of its features is outside the universe. *)
-val mask_of_config : encoding -> Config.t -> int option
+val mask_of_config : encoding -> Config.t -> Vis_util.Wmask.t option
 
 (** [config_of_mask enc m] decodes a mask back to the canonical symbolic
     configuration ([mask_of_config] is its left inverse). *)
-val config_of_mask : encoding -> int -> Config.t
+val config_of_mask : encoding -> Vis_util.Wmask.t -> Config.t
 
 (** [create_masked ?cache derived enc mask] is an evaluator over a packed
     configuration: behaviourally identical to
     [create ?cache derived (config_of_mask enc mask)] — same cached values,
-    same cache-hit equivalence classes — but its memo keys are single-word
+    same cache-hit equivalence classes — but its memo keys are restricted
     masks and the symbolic configuration is decoded lazily. *)
-val create_masked : ?cache:cache -> Vis_catalog.Derived.t -> encoding -> int -> t
+val create_masked :
+  ?cache:cache -> Vis_catalog.Derived.t -> encoding -> Vis_util.Wmask.t -> t
 
 (** The per-element costs of one masked configuration, reusable to cost
     neighbouring masks incrementally. *)
@@ -216,18 +219,20 @@ type ieval
     the equivalent symbolic evaluator. *)
 val ieval_total : ieval -> float
 
-val ieval_mask : ieval -> int
+val ieval_mask : ieval -> Vis_util.Wmask.t
 
 (** [eval_mask ?cache derived enc mask] costs a configuration from scratch
     (every maintained element). *)
-val eval_mask : ?cache:cache -> Vis_catalog.Derived.t -> encoding -> int -> ieval
+val eval_mask :
+  ?cache:cache -> Vis_catalog.Derived.t -> encoding -> Vis_util.Wmask.t -> ieval
 
 (** [eval_delta ?cache derived parent mask] costs [mask] by reusing
     [parent]'s per-element costs: only elements whose relevance mask meets
     the changed bits are re-derived; with no changed bits [parent] itself is
     returned.  The result is bitwise equal to [eval_mask] of the same
     mask. *)
-val eval_delta : ?cache:cache -> Vis_catalog.Derived.t -> ieval -> int -> ieval
+val eval_delta :
+  ?cache:cache -> Vis_catalog.Derived.t -> ieval -> Vis_util.Wmask.t -> ieval
 
 (** Exact counters of the incremental evaluator's work, accumulated in the
     encoding (atomically, so they are exact at any [--jobs]). *)

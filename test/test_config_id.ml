@@ -1,10 +1,11 @@
 (* Tests for the packed configuration encoding (Config_id / Cost.encoding):
    mask <-> feature-list round trips, the bit-operation laws (subset,
    applicability, closure-drop) against the symbolic Config predicates,
-   the >62-feature / escape-hatch fallbacks, and bitwise agreement of the
-   incremental evaluator with the structural one. *)
+   universes wider than one mask word, and bitwise agreement of the
+   incremental evaluator with the reference one ([Cost.total_of]). *)
 
 module Bitset = Vis_util.Bitset
+module Wmask = Vis_util.Wmask
 module Schema = Vis_catalog.Schema
 module Config = Vis_costmodel.Config
 module Element = Vis_costmodel.Element
@@ -17,17 +18,16 @@ let checkb = Alcotest.(check bool)
 
 let checki = Alcotest.(check int)
 
-let cid_exn schema =
-  match Config_id.of_problem (Problem.make schema) with
-  | Some cid -> cid
-  | None -> Alcotest.fail "expected a packed encoding"
+let cid_exn schema = Config_id.of_problem (Problem.make schema)
+
+let same_mask = Option.equal Wmask.equal
 
 (* Masks that decode to *valid* configurations (every index's view chosen)
    exercise the same states the searches visit; unrestricted masks check
    that encode/decode is a pure bijection regardless. *)
 let random_mask rng cid =
   let n = Config_id.n_features cid in
-  let mask = ref 0 in
+  let mask = ref (Config_id.empty cid) in
   for _ = 0 to n do
     let b = Random.State.int rng n in
     if Config_id.applicable cid !mask b then
@@ -67,12 +67,12 @@ let test_mask_config_round_trip () =
       (* Arbitrary masks: decode then re-encode is the identity. *)
       for _ = 1 to 200 do
         let mask =
-          if n >= 62 then Random.State.int rng max_int
-          else Random.State.int rng (1 lsl n)
+          Wmask.of_list n
+            (List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id))
         in
         let config = Config_id.config_of_mask cid mask in
         checkb "mask -> config -> mask" true
-          (Config_id.mask_of_config cid config = Some mask)
+          (same_mask (Config_id.mask_of_config cid config) (Some mask))
       done;
       (* Valid walks additionally decode to valid configurations. *)
       let p = Config_id.problem cid in
@@ -111,8 +111,8 @@ let test_subset_law () =
           (Config_id.subset ma mb);
         (* Reflexivity and the lattice identities. *)
         checkb "subset reflexive" true (Config_id.subset ma ma);
-        checkb "meet below" true (Config_id.subset (ma land mb) ma);
-        checkb "below join" true (Config_id.subset ma (ma lor mb))
+        checkb "meet below" true (Config_id.subset (Wmask.inter ma mb) ma);
+        checkb "below join" true (Config_id.subset ma (Wmask.union ma mb))
       done)
     [ Schemas.two_relation (); Schemas.schema1 (); Schemas.schema2 () ]
 
@@ -169,8 +169,8 @@ let test_applicable_and_drop_closure () =
              indexes with it), and the result is still valid. *)
           if Config_id.has_feature cid mask b then begin
             let dropped = Config_id.drop cid mask b in
-            checkb "drop removes closure" true
-              (dropped land Config_id.closure cid b = 0);
+            checkb "drop removes closure" false
+              (Wmask.meets dropped (Config_id.closure cid b));
             checkb "drop stays valid" true
               (Problem.valid_config p (Config_id.config_of_mask cid dropped));
             match Config_id.feature cid b with
@@ -186,59 +186,87 @@ let test_applicable_and_drop_closure () =
     [ Schemas.two_relation (); Schemas.schema1 () ]
 
 (* ------------------------------------------------------------------ *)
-(* Fallback paths: >62 features, the escape hatch, the no-sharing
-   ablation. *)
+(* A universe wider than one mask word: a 7-relation chain. *)
 
-let test_too_large_fallback () =
+let test_wide_universe () =
   let p = Problem.make (Schemas.chain ~n:7 ()) in
-  checkb ">62 features really" true (List.length p.Problem.features > 62);
-  checkb "no encoding past 62 features" true
-    (Option.is_none p.Problem.encoding);
-  checkb "Config_id unavailable" true
-    (Option.is_none (Config_id.of_problem p));
-  (* The raw constructor reports the size in the exception. *)
-  (match Cost.make_encoding p.Problem.derived (Array.of_list p.Problem.features) with
-  | exception Cost.Encoding_too_large n ->
-      checki "exception carries the count" (List.length p.Problem.features) n
-  | _ -> Alcotest.fail "make_encoding accepted > 62 features");
-  (* The structural path still searches the schema fine. *)
-  let g = Vis_core.Greedy.search p in
-  checkb "structural greedy works" true (Problem.valid_config p g.Vis_core.Greedy.best)
+  let cid = Config_id.of_problem p in
+  let n = Config_id.n_features cid in
+  let w = Wmask.bits_per_word in
+  checkb "more than one word of features" true (n > w);
+  checki "universe = feature list" (List.length p.Problem.features) n;
+  (* Masks with bits on both sides of the word boundary round-trip. *)
+  List.iter
+    (fun bits ->
+      let mask = Wmask.of_list n bits in
+      checkb "boundary mask round-trips" true
+        (same_mask
+           (Config_id.mask_of_config cid (Config_id.config_of_mask cid mask))
+           (Some mask)))
+    [ [ w - 1; w ]; [ 0; w - 1; w; n - 1 ]; [ n - 1 ]; List.init n Fun.id ];
+  (* A walk of applicable toggles alternating between the two sides of the
+     boundary: every delta-costed and from-scratch total equals the
+     reference evaluator bitwise. *)
+  let rng = Random.State.make [| 23 |] in
+  let ie = ref (Config_id.eval cid (Config_id.empty cid)) in
+  checkb "empty total = reference" true
+    (Cost.ieval_total !ie = Cost.total_of p.Problem.derived Config.empty);
+  let spanned = ref false in
+  for step = 1 to 80 do
+    let b =
+      if step mod 2 = 0 then Random.State.int rng w
+      else w + Random.State.int rng (n - w)
+    in
+    let mask = Cost.ieval_mask !ie in
+    let mask' =
+      if Config_id.has_feature cid mask b then Config_id.drop cid mask b
+      else if Config_id.applicable cid mask b then Config_id.add cid mask b
+      else mask
+    in
+    let delta = Config_id.eval_from cid !ie mask' in
+    let reference =
+      Cost.total_of p.Problem.derived (Config_id.config_of_mask cid mask')
+    in
+    checkb "delta = reference (bitwise)" true (Cost.ieval_total delta = reference);
+    checkb "scratch = reference (bitwise)" true
+      (Cost.ieval_total (Config_id.eval cid mask') = reference);
+    if Wmask.word mask' 0 <> 0 && Wmask.word mask' 1 <> 0 then spanned := true;
+    ie := delta
+  done;
+  checkb "walk reached both words" true !spanned
 
-let test_escape_hatches_disable_encoding () =
-  let schema = Schemas.two_relation () in
-  checkb "slow_cost disables encoding" true
-    (Option.is_none (Problem.make ~slow_cost:true schema).Problem.encoding);
-  checkb "no-sharing ablation disables encoding" true
-    (Option.is_none (Problem.make ~share_cache:false schema).Problem.encoding);
-  checkb "default has encoding" true
-    (Option.is_some (Problem.make schema).Problem.encoding)
+(* A local-search seed outside the universe is rejected, not climbed. *)
+let test_foreign_seed_rejected () =
+  let p = Problem.make (Schemas.schema1 ()) in
+  let foreign = Config.add_view Config.empty (Bitset.of_int 0x155555) in
+  match Vis_core.Local_search.search ~seed:foreign p with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "out-of-universe seed accepted"
 
 (* ------------------------------------------------------------------ *)
-(* The packed evaluator agrees bitwise with the structural one. *)
+(* The packed evaluator agrees bitwise with the reference one. *)
 
 let test_fast_vs_slow_totals () =
   let rng = Random.State.make [| 17 |] in
   List.iter
     (fun schema ->
       let cid = cid_exn schema in
-      let slow = Problem.make ~slow_cost:true schema in
-      let prev = ref (Config_id.eval cid 0) in
+      let reference = Cost.total_of (Config_id.problem cid).Problem.derived in
+      let prev = ref (Config_id.eval cid (Config_id.empty cid)) in
       checkb "empty total agrees" true
-        (Cost.ieval_total !prev = Problem.total slow Config.empty);
+        (Cost.ieval_total !prev = reference Config.empty);
       for _ = 1 to 60 do
         let mask = random_mask rng cid in
         let scratch = Config_id.eval cid mask in
         let delta = Config_id.eval_from cid !prev mask in
         prev := delta;
-        let structural =
-          Problem.total slow (Config_id.config_of_mask cid mask)
-        in
-        checkb "scratch = structural (bitwise)" true
+        let structural = reference (Config_id.config_of_mask cid mask) in
+        checkb "scratch = reference (bitwise)" true
           (Cost.ieval_total scratch = structural);
-        checkb "delta = structural (bitwise)" true
+        checkb "delta = reference (bitwise)" true
           (Cost.ieval_total delta = structural);
-        checki "ieval remembers its mask" mask (Cost.ieval_mask delta)
+        checkb "ieval remembers its mask" true
+          (Wmask.equal mask (Cost.ieval_mask delta))
       done)
     [ Schemas.two_relation (); Schemas.schema1 (); Schemas.chain ~n:4 () ]
 
@@ -261,11 +289,12 @@ let () =
           Alcotest.test_case "applicable / drop closure" `Quick
             test_applicable_and_drop_closure;
         ] );
-      ( "fallbacks",
+      ( "wide universe",
         [
-          Alcotest.test_case "> 62 features" `Quick test_too_large_fallback;
-          Alcotest.test_case "escape hatches" `Quick
-            test_escape_hatches_disable_encoding;
+          Alcotest.test_case "chain-7 masks and totals" `Quick
+            test_wide_universe;
+          Alcotest.test_case "foreign seed rejected" `Quick
+            test_foreign_seed_rejected;
         ] );
       ( "evaluator agreement",
         [

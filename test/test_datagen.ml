@@ -1,6 +1,6 @@
 (* Pins the shapes of the generated star/snowflake workloads: relation
    counts, candidate-feature counts under the production candidate caps,
-   and whether the packed 62-bit encoding survives.  These numbers are
+   and that every one gets the packed encoding.  These numbers are
    load-bearing — the parallel-scaling study, the CI smoke and the sharded
    search tests all assume them — so a generator change that shifts them
    must show up here first.  Also checks that the generated schemas are
@@ -26,17 +26,17 @@ let shape name schema ~rels ~features ~packed =
 let test_star_shapes () =
   (* star ~n_dims:k is a fact table plus k dimensions *)
   shape "star-6" (Schemas.star ~n_dims:5 ()) ~rels:6 ~features:45 ~packed:true;
-  shape "star-8" (Schemas.star ~n_dims:7 ()) ~rels:8 ~features:78 ~packed:false;
+  shape "star-8" (Schemas.star ~n_dims:7 ()) ~rels:8 ~features:78 ~packed:true;
   shape "star-12"
     (Schemas.star ~n_dims:11 ())
-    ~rels:12 ~features:165 ~packed:false
+    ~rels:12 ~features:165 ~packed:true
 
 let test_snowflake_shapes () =
   (* snowflake ~arms ~depth is a fact table plus arms·depth dimensions *)
   shape "snowflake-7"
     (Schemas.snowflake ~arms:3 ~depth:2 ())
     ~rels:7 ~features:44 ~packed:true;
-  (* 62 features — exactly at the packed-encoding capacity *)
+  (* 62 features — exactly one full mask word *)
   shape "snowflake-9"
     (Schemas.snowflake ~arms:4 ~depth:2 ())
     ~rels:9 ~features:62 ~packed:true

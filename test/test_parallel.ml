@@ -235,8 +235,8 @@ let test_sharded_star_identity () =
         (lower_bound <= r4.Astar.best_cost);
       checkb "star-8: gap sane" true (gap >= 0. && gap <= 1.)
 
-(* Same identity on a snowflake that keeps the packed 62-bit encoding, so
-   the packed sharded successor path is covered too. *)
+(* Same identity on a snowflake whose 44 features fit one mask word; the
+   78-feature star above spans two. *)
 let test_sharded_snowflake_identity () =
   let mk () =
     let p =

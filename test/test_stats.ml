@@ -104,6 +104,19 @@ let test_cache_eviction () =
   (* Re-evaluating after evictions still gives the same answer. *)
   checkf "post-eviction total" unbounded (Cost.total_of ~cache derived Config.empty)
 
+(* The memo key hash spreads keys over the buckets: after a jobs-1 A* on
+   the 4-relation chain (57 features, so masks use most of a word) no
+   bucket chain is long.  A hash that dropped the upper bits of a mask
+   chained 156 keys into one bucket here. *)
+let test_cache_hash_spread () =
+  let p = Problem.make (Vis_workload.Schemas.chain ~n:4 ()) in
+  ignore (Astar.search ~jobs:1 p);
+  let s = Cost.cache_stats p.Problem.cache in
+  checkb "memo populated" true (s.Cost.cs_entries > 100_000);
+  checkb
+    (Printf.sprintf "longest bucket chain %d <= 16" s.Cost.cs_max_chain)
+    true (s.Cost.cs_max_chain <= 16)
+
 let random_config ~rng p =
   let views =
     List.filter (fun _ -> Random.State.bool rng) p.Problem.candidate_views
@@ -267,6 +280,8 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_cache_counters;
           Alcotest.test_case "eviction" `Quick test_cache_eviction;
+          Alcotest.test_case "hash spreads memo keys" `Quick
+            test_cache_hash_spread;
         ]
         @ qt [ prop_cache_transparent; prop_bounded_cache_transparent ] );
       ( "search stats",

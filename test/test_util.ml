@@ -1,7 +1,9 @@
-(* Unit and property tests for vis_util: bitsets, the priority queue,
+(* Unit and property tests for vis_util: bitsets, multi-word masks, the
+   priority queue,
    topological sorting, table rendering and numeric helpers. *)
 
 module Bitset = Vis_util.Bitset
+module Wmask = Vis_util.Wmask
 module Pqueue = Vis_util.Pqueue
 module Toposort = Vis_util.Toposort
 module Num = Vis_util.Num
@@ -86,6 +88,51 @@ let prop_fold_matches_elements =
   QCheck2.Test.make ~name:"bitset: fold visits elements in order" ~count:200
     set_gen (fun s ->
       List.rev (Bitset.fold (fun i acc -> i :: acc) s []) = Bitset.elements s)
+
+(* ------------------------------------------------------------------ *)
+(* Multi-word masks: every operation against a list model, on random sets
+   of a 150-bit universe (three words). *)
+
+let prop_wmask_model =
+  QCheck2.Test.make ~name:"wmask: set operations match a list model"
+    ~count:200
+    QCheck2.Gen.(pair (list_size (int_bound 20) (int_bound 149))
+                   (list_size (int_bound 20) (int_bound 149)))
+    (fun (la, lb) ->
+      let n = 150 in
+      let a = Wmask.of_list n la and b = Wmask.of_list n lb in
+      let model l = List.sort_uniq compare l in
+      let bits m =
+        let r = ref [] in
+        Wmask.iter (fun i -> r := i :: !r) m;
+        List.rev !r
+      in
+      let ma = model la and mb = model lb in
+      Wmask.words a = 3
+      && bits a = ma
+      && bits (Wmask.union a b) = model (la @ lb)
+      && bits (Wmask.inter a b) = List.filter (fun i -> List.mem i mb) ma
+      && bits (Wmask.diff a b) = List.filter (fun i -> not (List.mem i mb)) ma
+      && bits (Wmask.xor a b)
+         = model
+             (List.filter (fun i -> not (List.mem i mb)) ma
+             @ List.filter (fun i -> not (List.mem i ma)) mb)
+      && Wmask.meets a b = List.exists (fun i -> List.mem i mb) ma
+      && Wmask.subset a b = List.for_all (fun i -> List.mem i mb) ma
+      && Wmask.is_empty a = (ma = [])
+      && List.for_all (fun i -> Wmask.mem i a = List.mem i ma) (List.init n Fun.id)
+      && Wmask.equal (Wmask.of_list n ma) a)
+
+let test_wmask_bounds () =
+  let m = Wmask.add 61 (Wmask.add 62 (Wmask.empty 124)) in
+  check "word 0 holds bit 61" true (Wmask.word m 0 = 1 lsl 61);
+  check "word 1 holds bit 62" true (Wmask.word m 1 = 1);
+  check "words are non-negative" true (Wmask.word (Wmask.of_list 62 (List.init 62 Fun.id)) 0 > 0);
+  check "mem outside width" false (Wmask.mem 124 m);
+  check_int "empty width is one word" 1 (Wmask.words (Wmask.empty 0));
+  Alcotest.check_raises "add outside width"
+    (Invalid_argument "Wmask: bit 124 outside the width") (fun () ->
+      ignore (Wmask.add 124 m))
 
 (* ------------------------------------------------------------------ *)
 (* Priority queue. *)
@@ -285,6 +332,9 @@ let () =
               prop_subsets_count;
               prop_fold_matches_elements;
             ] );
+      ( "wmask",
+        [ Alcotest.test_case "word boundaries" `Quick test_wmask_bounds ]
+        @ qt [ prop_wmask_model ] );
       ( "pqueue",
         [
           Alcotest.test_case "order" `Quick test_pqueue_order;

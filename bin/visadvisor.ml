@@ -92,7 +92,10 @@ let stats_arg =
   let doc =
     "Print search statistics: states expanded/generated, per-rule pruning \
      counts, frontier high-water mark, admissibility checks, per-phase \
-     timings, and cost-cache hit rates."
+     timings, and cost-cache hit rates.  The hit rate counts only lookups \
+     made: an A* state reads its parent's heuristic inputs without looking \
+     them up again, so the rate is lower than when every state re-read \
+     them, while misses (the derivations) are unchanged."
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
 

@@ -1,8 +1,5 @@
-module Bitset = Vis_util.Bitset
 module Parallel = Vis_util.Parallel
 module Pqueue = Vis_util.Pqueue
-module Schema = Vis_catalog.Schema
-module Element = Vis_costmodel.Element
 module Config = Vis_costmodel.Config
 module Cost = Vis_costmodel.Cost
 
@@ -16,340 +13,6 @@ type result = {
 }
 
 exception Budget_exceeded of stats
-
-(* ------------------------------------------------------------------ *)
-(* Per-problem precomputation.
-
-   For every feature we know, independently of the search state:
-   - [lb_cost]: a lower bound on its own maintenance in any completion (its
-     cost with *every* candidate structure materialized, which is the
-     richest plan space a completion can offer; for views, index maintenance
-     is excluded because indexes carry their own cost);
-   - [key_benefit]: the configuration-independent saving of a key index for
-     locating deleted/updated tuples;
-   - [affected]: the insertion expressions (target view, delta relation)
-     whose evaluation the feature can make cheaper;
-   - the full-configuration *floors* of every expression: no completion can
-     push an evaluation below its cost with everything materialized.
-
-   Features whose [lb_cost] exceeds their largest possible benefit (taken
-   under the empty configuration, where evaluations are most expensive) can
-   never reduce the total and are dropped outright — a sound dominance rule
-   that shrinks the search space before A* starts. *)
-
-type prep = {
-  features : Problem.feature array;
-  view_pos : (int, int) Hashtbl.t;  (* candidate view -> feature position *)
-  lb_cost : float array;
-  key_benefit : float array;
-  affected : (int * int) list array;  (* (target index, delta relation) *)
-  targets : Element.t array;  (* target 0 is the primary view *)
-  target_view_pos : int array;  (* feature position of the target's view; -1 for the primary *)
-  full_ins : float array array;  (* ins eval floor per [target][rel] *)
-  full_del : float array array;  (* del eval+apply floor *)
-  full_upd : float array array;
-  full_base_del : float array;  (* per base relation *)
-  full_base_upd : float array;
-  dropped : Problem.feature list;  (* dominance-pruned features *)
-}
-
-let lb_view_cost full_eval w =
-  let elem = Element.View w in
-  Bitset.fold
-    (fun r acc ->
-      let pi, _ = Cost.prop_ins full_eval ~target:elem ~rel:r in
-      let pd, _ = Cost.prop_del full_eval ~target:elem ~rel:r in
-      let pu, _ = Cost.prop_upd full_eval ~target:elem ~rel:r in
-      acc
-      +. (pi.Cost.p_eval +. pi.Cost.p_apply +. pi.Cost.p_save)
-      +. (pd.Cost.p_eval +. pd.Cost.p_apply)
-      +. (pu.Cost.p_eval +. pu.Cost.p_apply))
-    w 0.
-
-(* Saving of a key index on [elem] for deletions and updates; it does not
-   depend on what else is materialized.  With compression in the feature
-   space the costs around the index can swing by the per-page factors, so
-   the bound stretches to [cw·without − cf·with]; without compression
-   [cf = cw = 1] and the formula is bitwise the original. *)
-let key_index_benefit p ~cf ~cw ix =
-  let elem = ix.Element.ix_elem in
-  let r = ix.Element.ix_attr.Element.a_rel in
-  let key = (Schema.relation p.Problem.schema r).Schema.key_attr in
-  if ix.Element.ix_attr.Element.a_name <> key || not (Bitset.mem r (Element.rels elem))
-  then 0.
-  else begin
-    let cost config =
-      let eval = Problem.evaluator p config in
-      let pd, _ = Cost.prop_del eval ~target:elem ~rel:r in
-      let pu, _ = Cost.prop_upd eval ~target:elem ~rel:r in
-      pd.Cost.p_eval +. pd.Cost.p_apply +. pu.Cost.p_eval +. pu.Cost.p_apply
-    in
-    let without = cost Config.empty in
-    let with_ix = cost (Config.make ~views:[] ~indexes:[ ix ]) in
-    Float.max 0. ((cw *. without) -. (cf *. with_ix))
-  end
-
-(* Insertion expressions the feature can make cheaper, as indices into
-   [targets].  Membership is tracked in hash sets keyed [(target, rel)]:
-   the original [List.mem] rescans made the accumulation quadratic on
-   join-heavy schemas.  Each accumulator mirrors the prepend chain of the
-   scan-based version, so list order and membership are unchanged. *)
-let affected_triples p targets feature =
-  let schema = p.Problem.schema in
-  let fresh () = (Hashtbl.create 32, ref []) in
-  let add ((seen, items) : ((int * int, unit) Hashtbl.t * _) ) key =
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      items := key :: !items
-    end
-  in
-  let triples_over ~must_contain ~strict ~delta_outside =
-    let acc = fresh () in
-    Array.iteri
-      (fun ti elem ->
-        let rels = Element.rels elem in
-        let contains =
-          if strict then Bitset.proper_subset must_contain rels
-          else Bitset.subset must_contain rels
-        in
-        if contains then
-          let srels = if delta_outside then Bitset.diff rels must_contain else rels in
-          Bitset.iter (fun r -> add acc (ti, r)) srels)
-      targets;
-    !(snd acc)
-  in
-  match feature with
-  | Problem.F_view w -> triples_over ~must_contain:w ~strict:true ~delta_outside:false
-  (* Compression's benefit is bounded by a config-independent constant in
-     [key_benefit]; it claims no per-state insertion gaps. *)
-  | Problem.F_compress _ -> []
-  | Problem.F_index ix ->
-      let e_rels = Element.rels ix.Element.ix_elem in
-      let attr = ix.Element.ix_attr in
-      let acc = fresh () in
-      List.iter
-        (fun (j : Schema.join) ->
-          let outside =
-            if
-              j.Schema.left_rel = attr.Element.a_rel
-              && j.Schema.left_attr = attr.Element.a_name
-              && not (Bitset.mem j.Schema.right_rel e_rels)
-            then Some j.Schema.right_rel
-            else if
-              j.Schema.right_rel = attr.Element.a_rel
-              && j.Schema.right_attr = attr.Element.a_name
-              && not (Bitset.mem j.Schema.left_rel e_rels)
-            then Some j.Schema.left_rel
-            else None
-          in
-          match outside with
-          | None -> ()
-          | Some x ->
-              List.iter (add acc)
-                (triples_over
-                   ~must_contain:(Bitset.add x e_rels)
-                   ~strict:false ~delta_outside:false))
-        schema.Schema.joins;
-      (match ix.Element.ix_elem with
-      | Element.Base i
-        when List.mem attr.Element.a_name (Schema.selection_attrs schema i) ->
-          List.iter (add acc)
-            (triples_over ~must_contain:(Bitset.singleton i) ~strict:false
-               ~delta_outside:true)
-      | Element.Base _ | Element.View _ -> ());
-      !(snd acc)
-
-let ins_eval_of eval elem r =
-  (fst (Cost.prop_ins eval ~target:elem ~rel:r)).Cost.p_eval
-
-let delupd_of eval elem r =
-  let pd, _ = Cost.prop_del eval ~target:elem ~rel:r in
-  let pu, _ = Cost.prop_upd eval ~target:elem ~rel:r in
-  ( pd.Cost.p_eval +. pd.Cost.p_apply,
-    pu.Cost.p_eval +. pu.Cost.p_apply )
-
-let prepare ~pool p =
-  let schema = p.Problem.schema in
-  let n_rels = Schema.n_relations schema in
-  let full_config =
-    Config.make ~views:p.Problem.candidate_views
-      ~indexes:(Problem.indexes_for_views p p.Problem.candidate_views)
-  in
-  let full_eval = Problem.evaluator p full_config in
-  (* Compression scaling of the bounds.  Every charging site's cost moves
-     by a per-page factor in [cf, cw] under any compression assignment, so
-     scaling a floor or a feature's own lower bound by [cf] (and a cost
-     ceiling by [cw]) keeps it sound over the compressed completions too.
-     Without compression candidates both factors are [1.] and every formula
-     below is bitwise identical to the compression-free search. *)
-  let has_compression = p.Problem.compress_elems <> [] in
-  let cf = if has_compression then Cost.compress_read_factor else 1. in
-  let cw = if has_compression then Cost.compress_write_factor else 1. in
-  (* An [F_compress] maintains nothing of its own; its possible saving is
-     bounded by the whole maintenance bill at its most expensive (the empty
-     configuration, stretched by [cw]). *)
-  let compress_benefit =
-    if has_compression then cw *. Problem.total p Config.empty else 0.
-  in
-  let lb_of full_eval f =
-    cf
-    *.
-    match f with
-    | Problem.F_view w -> lb_view_cost full_eval w
-    | Problem.F_index ix -> Cost.index_maint_cost full_eval ix
-    | Problem.F_compress _ -> 0.
-  in
-  (* Per-feature precomputation fans out over the pool.  Each chunk builds
-     private evaluators with [init] (an evaluator memoizes plan prefixes in
-     single-domain mutable state, so it must not be shared across workers);
-     the mapped values are pure, so every [jobs] setting computes the same
-     arrays. *)
-  let par_map ~init f arr =
-    if Parallel.jobs pool > 1 && Array.length arr > 1 then
-      Parallel.map_init pool ~init f arr
-    else
-      let ctx = init () in
-      Array.map (f ctx) arr
-  in
-  let evaluators () =
-    (Problem.evaluator p full_config, Problem.evaluator p Config.empty)
-  in
-  (* Dominance fixpoint: drop features that can never pay for themselves,
-     re-evaluating as dropped views stop being benefit targets. *)
-  let rec fixpoint features views =
-    let targets =
-      Array.of_list
-        (Element.View (Schema.all_relations schema)
-        :: List.map (fun w -> Element.View w) views)
-    in
-    let keep (full_eval, empty_eval) feature =
-      let lb = lb_of full_eval feature in
-      let benefit =
-        key_index_benefit_or_zero p feature
-        +. List.fold_left
-             (fun acc (ti, r) ->
-               let elem = targets.(ti) in
-               let gap =
-                 (cw *. ins_eval_of empty_eval elem r)
-                 -. (cf *. ins_eval_of full_eval elem r)
-               in
-               acc +. Float.max 0. gap)
-             0.
-             (affected_triples p targets feature)
-      in
-      lb < benefit -. 1e-9
-    in
-    let flags = par_map ~init:evaluators keep (Array.of_list features) in
-    let kept = List.filteri (fun i _ -> flags.(i)) features in
-    let kept_views =
-      List.filter_map
-        (function
-          | Problem.F_view w -> Some w
-          | Problem.F_index _ | Problem.F_compress _ -> None)
-        kept
-    in
-    (* Indexes on dropped candidate views can never apply. *)
-    let kept =
-      List.filter
-        (function
-          | Problem.F_view _ | Problem.F_compress _ -> true
-          | Problem.F_index ix -> (
-              match ix.Element.ix_elem with
-              | Element.Base _ -> true
-              | Element.View w ->
-                  Bitset.equal w (Schema.all_relations schema)
-                  || List.exists (Bitset.equal w) kept_views))
-        kept
-    in
-    if List.length kept = List.length features then (kept, kept_views)
-    else fixpoint kept kept_views
-  and key_index_benefit_or_zero p = function
-    | Problem.F_view _ -> 0.
-    | Problem.F_index ix -> key_index_benefit p ~cf ~cw ix
-    | Problem.F_compress _ -> compress_benefit
-  in
-  let kept, kept_views = fixpoint p.Problem.features p.Problem.candidate_views in
-  let dropped =
-    List.filter
-      (fun f -> not (List.exists (Problem.equal_feature f) kept))
-      p.Problem.features
-  in
-  let features = Array.of_list kept in
-  let view_pos = Hashtbl.create 16 in
-  Array.iteri
-    (fun i f ->
-      match f with
-      | Problem.F_view w -> Hashtbl.replace view_pos (Bitset.to_int w) i
-      | Problem.F_index _ | Problem.F_compress _ -> ())
-    features;
-  let targets =
-    Array.of_list
-      (Element.View (Schema.all_relations schema)
-      :: List.map (fun w -> Element.View w) kept_views)
-  in
-  let target_view_pos =
-    Array.map
-      (fun elem ->
-        match elem with
-        | Element.View w when not (Bitset.equal w (Schema.all_relations schema))
-          -> (
-            match Hashtbl.find_opt view_pos (Bitset.to_int w) with
-            | Some pos -> pos
-            | None -> -1)
-        | Element.View _ | Element.Base _ -> -1)
-      targets
-  in
-  let per_target f =
-    Array.map
-      (fun elem ->
-        Array.init n_rels (fun r ->
-            if Bitset.mem r (Element.rels elem) then f elem r else 0.))
-      targets
-  in
-  (* Floors carry the [cf] scaling: a compressed completion can push an
-     evaluation below its everything-materialized cost, but never below
-     [cf] times it. *)
-  let full_ins = per_target (fun elem r -> cf *. ins_eval_of full_eval elem r) in
-  let full_del =
-    per_target (fun elem r -> cf *. fst (delupd_of full_eval elem r))
-  in
-  let full_upd =
-    per_target (fun elem r -> cf *. snd (delupd_of full_eval elem r))
-  in
-  let full_base_del =
-    Array.init n_rels (fun r ->
-        cf *. fst (delupd_of full_eval (Element.Base r) r))
-  in
-  let full_base_upd =
-    Array.init n_rels (fun r ->
-        cf *. snd (delupd_of full_eval (Element.Base r) r))
-  in
-  {
-    features;
-    view_pos;
-    lb_cost =
-      par_map
-        ~init:(fun () -> Problem.evaluator p full_config)
-        lb_of features;
-    key_benefit =
-      par_map
-        ~init:(fun () -> ())
-        (fun () -> function
-          | Problem.F_view _ -> 0.
-          | Problem.F_index ix -> key_index_benefit p ~cf ~cw ix
-          | Problem.F_compress _ -> compress_benefit)
-        features;
-    affected =
-      par_map ~init:(fun () -> ()) (fun () -> affected_triples p targets) features;
-    targets;
-    target_view_pos;
-    full_ins;
-    full_del;
-    full_upd;
-    full_base_del;
-    full_base_upd;
-    dropped;
-  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -378,11 +41,15 @@ end
    the [s_best] incumbents in shard order after every round, which keeps
    every global counter and the winning configuration independent of the
    pool width. *)
+(* A search state: the incremental evaluation of its mask and its ĥ
+   inputs. *)
+type state = { ie : Cost.ieval; ht : Heuristic.table }
+
 type shard = {
-  sq : (int * Cost.ieval * float) Pqueue.t;  (* (pos, state, g) at priority ĉ *)
+  sq : (int * state * float) Pqueue.t;  (* (pos, state, g) at priority ĉ *)
   s_popped : Fbuf.t;
   mutable s_bound : float;  (* round-start global bound, improved locally *)
-  mutable s_best : (float * Cost.ieval) option;  (* best completion found here *)
+  mutable s_best : (float * state) option;  (* best completion found here *)
   mutable s_done : bool;
   mutable s_dropped_lb : float;  (* smallest beam-dropped ĉ; ∞ if none *)
   mutable s_complete : float;  (* cost of own popped completion; ∞ if none *)
@@ -412,10 +79,9 @@ let shard_quantum = 48
 let shard_prefix_depth = 6
 
 let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
-  let schema = p.Problem.schema in
   let sstats = Search_stats.create ~algorithm:"astar" () in
   let work_before = Parallel.work_counts pool in
-  let prep = Search_stats.time sstats "prepare" (fun () -> prepare ~pool p) in
+  let prep = Search_stats.time sstats "prepare" (fun () -> Heuristic.prepare ~pool p) in
   (match List.length prep.dropped with
   | 0 -> ()
   | n -> Search_stats.prune ~count:n sstats "dominance");
@@ -427,8 +93,6 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
     Array.map (fun f -> Option.get (Config_id.bit_of_feature cid f)) prep.features
   in
   let n = Array.length prep.features in
-  let n_targets = Array.length prep.targets in
-  let n_rels = Schema.n_relations schema in
   let exhaustive_states = Exhaustive.count_states p in
   let stats () =
     {
@@ -446,86 +110,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
         ~violated:(popped.Fbuf.a.(i) > optimum +. 1e-6)
     done
   in
-  let eligible hv pos k =
-    match prep.features.(k) with
-    | Problem.F_view _ | Problem.F_compress _ -> true
-    | Problem.F_index ix -> (
-        match ix.Element.ix_elem with
-        | Element.Base _ -> true
-        | Element.View w ->
-            Bitset.equal w (Schema.all_relations schema)
-            || hv w
-            ||
-            (match Hashtbl.find_opt prep.view_pos (Bitset.to_int w) with
-            | Some vp -> vp >= pos
-            | None -> false))
-  in
-  (* A target still matters at (config, pos) when it is the primary view,
-     already materialized, or not yet decided. *)
-  let target_alive hv pos ti =
-    let vp = prep.target_view_pos.(ti) in
-    vp < 0 || vp >= pos
-    ||
-    match prep.targets.(ti) with
-    | Element.View w -> hv w
-    | Element.Base _ -> true
-  in
-  let h_hat eval hv pos =
-
-    (* Gap tables: how far each expression's current cost sits above its
-       full-configuration floor — an upper bound on what future features can
-       still save on it. *)
-    let ins_gap = Array.make_matrix n_targets n_rels 0. in
-    for ti = 0 to n_targets - 1 do
-      let elem = prep.targets.(ti) in
-      if target_alive hv pos ti then
-        Bitset.iter
-          (fun r ->
-            let gap = ins_eval_of eval elem r -. prep.full_ins.(ti).(r) in
-            if gap > 0. then ins_gap.(ti).(r) <- gap)
-          (Element.rels elem)
-    done;
-    (* Bound 1 (per-feature): each remaining feature nets at least
-       lb_cost − its capped benefit. *)
-    let h1 = ref 0. in
-    for k = pos to n - 1 do
-      if eligible hv pos k then begin
-        let benefit =
-          List.fold_left
-            (fun acc (ti, r) -> acc +. ins_gap.(ti).(r))
-            prep.key_benefit.(k) prep.affected.(k)
-        in
-        let term = prep.lb_cost.(k) -. benefit in
-        if term < 0. then h1 := !h1 +. term
-      end
-    done;
-    (* Bound 2 (per-expression): the cost already counted in g can drop at
-       most to its floor, and future features' own maintenance is >= 0. *)
-    let h2 = ref 0. in
-    for ti = 0 to n_targets - 1 do
-      let elem = prep.targets.(ti) in
-      let maintained =
-        match elem with
-        | Element.View w ->
-            Bitset.equal w (Schema.all_relations schema) || hv w
-        | Element.Base _ -> true
-      in
-      if maintained then
-        Bitset.iter
-          (fun r ->
-            let d, u = delupd_of eval elem r in
-            let dgap = Float.max 0. (d -. prep.full_del.(ti).(r)) in
-            let ugap = Float.max 0. (u -. prep.full_upd.(ti).(r)) in
-            h2 := !h2 -. ins_gap.(ti).(r) -. dgap -. ugap)
-          (Element.rels elem)
-    done;
-    for r = 0 to n_rels - 1 do
-      let d, u = delupd_of eval (Element.Base r) r in
-      h2 := !h2 -. Float.max 0. (d -. prep.full_base_del.(r));
-      h2 := !h2 -. Float.max 0. (u -. prep.full_base_upd.(r))
-    done;
-    Float.max !h1 !h2
-  in
+  let heur = Heuristic.make cid prep in
   let queue = Pqueue.create () in
   (* A known complete solution bounds the search from above: states that
      cannot beat it are never enqueued, which keeps the frontier small.
@@ -557,21 +142,22 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
      same order the all-sequential code would.  [g] and [ĉ] do not read the
      incumbent bound, so evaluating successors concurrently and committing
      them in order is bit-identical to sequential search.  A frontier state
-     is the incremental evaluation of its mask, which successors are
-     delta-costed from; a successor awaiting evaluation is its mask plus
-     the parent's evaluation ([None] only for the root). *)
+     is the incremental evaluation of its mask and its ĥ table, which
+     successors are delta-costed from; a successor awaiting evaluation is
+     its mask plus its parent ([None] only for the root). *)
   let eval_state (pos, (mask, parent)) =
-    let ie =
+    let ie, ht =
       match parent with
-      | None -> Config_id.eval cid mask
-      | Some pie -> Config_id.eval_from cid pie mask
+      | None -> (Config_id.eval cid mask, Heuristic.root heur)
+      | Some st ->
+          ( Config_id.eval_from cid st.ie mask,
+            Heuristic.child heur ~parent:st.ht (Cost.ieval_mask st.ie) mask )
     in
     let g = Cost.ieval_total ie in
-    let eval = Config_id.evaluator cid mask in
-    let c_hat = g +. h_hat eval (Config_id.has_view cid mask) pos in
-    (pos, ie, g, c_hat)
+    let c_hat = g +. Heuristic.estimate heur ht mask ~pos in
+    (pos, { ie; ht }, g, c_hat)
   in
-  let config_of_state ie = Config_id.config_of_mask cid (Cost.ieval_mask ie) in
+  let config_of_state st = Config_id.config_of_mask cid (Cost.ieval_mask st.ie) in
   let commit (pos, st, g, c_hat) =
     Search_stats.evaluate sstats;
     if c_hat <= !upper_bound +. 1e-9 then begin
@@ -589,14 +175,14 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
   (* Successor generation shared by the sequential, prefix and shard phases;
      [inel] is charged when an index position is skipped as ineligible (the
      phases count it in different scoreboards). *)
-  let successors ~inel pos ie =
-    let mask = Cost.ieval_mask ie in
-    let without = (pos + 1, (mask, Some ie)) in
-    let with_f () = (pos + 1, (Config_id.add cid mask prep_bit.(pos), Some ie)) in
+  let successors ~inel pos st =
+    let mask = Cost.ieval_mask st.ie in
+    let without = (pos + 1, (mask, Some st)) in
+    let with_f () = (pos + 1, (Config_id.add cid mask prep_bit.(pos), Some st)) in
     match prep.features.(pos) with
     | Problem.F_view _ | Problem.F_compress _ -> [| without; with_f () |]
     | Problem.F_index _ ->
-        if eligible (Config_id.has_view cid mask) pos pos then
+        if Heuristic.eligible heur mask pos pos then
           [| without; with_f () |]
         else begin
           inel ();

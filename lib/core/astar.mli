@@ -25,6 +25,11 @@
     feature's cost exceeds its maximum benefit.  Optimality against
     exhaustive search is verified in the test suite.
 
+    Both terms are incremental: a successor's [g] is delta-costed from its
+    parent's per-element costs, and its [ĥ] inputs are its parent's with
+    only the entries its flipped feature can change re-derived
+    ({!Heuristic}).
+
     {2 The sharded parallel search}
 
     Small problems run the classic single-queue loop.  Problems that retain

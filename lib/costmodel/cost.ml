@@ -33,7 +33,8 @@ type memo_value =
 (* Memoization keys: (element code, kind, relation, restricted feature
    bitmask, restricted-configuration signature).  Evaluators over a
    problem's numbered feature universe key by the configuration's mask
-   restricted to the element's relevance mask: word 0 goes in the 4th slot
+   restricted to the element's relevance mask (its locate mask for
+   deletions and updates, see [memo_key]): word 0 goes in the 4th slot
    (>= 0) and the higher words in the 5th, cut after the last non-zero
    word, so universes of up to 62 features build no list at all.
    Evaluators for configurations outside the universe key by the structural
@@ -244,15 +245,90 @@ let index_sig_code schema ix =
   lnot ((elem_sig_code schema ix.Element.ix_elem * 4096) + attr)
 
 (* ------------------------------------------------------------------ *)
+(* Propagating insertions: Eval(ΔR ⋈ ...) by dynamic programming over the
+   covered relation subsets, starting from the shipped delta or from a
+   saved delta of a materialized subview, and extending with base
+   relations or materialized views via nested-block or index joins.
+
+   Everything the DP reads that does not depend on the configuration — the
+   dense numbering of the target's subsets, the delta-join size, result
+   pages and outer blocks of each subset, and each join unit's probe
+   statistics — is built once per problem into a skeleton; a DP then only
+   prices the configuration's units and relaxes over float and int
+   arrays. *)
+
+(* An index join a unit offers: probing its index on [pb_ix]'s attribute
+   with tuples of [pb_outside], a relation outside the unit. *)
+type ins_probe = {
+  pb_outside : int;
+  pb_matches : float;  (* unit tuples per probe *)
+  pb_ix_pages : float;
+  pb_per_probe : float;  (* index pages read per probe *)
+  pb_pages : float;  (* the unit's data pages *)
+  pb_card : float;
+  pb_ix : Element.index;
+}
+
+(* A join unit: a base relation or a view, with every join leaving it. *)
+type ins_unit = { iu_elem : Element.t; iu_probes : ins_probe array }
+
+(* The configuration-independent part of one (target, delta relation) DP.
+   Arrays are indexed by the dense code of a subset of the target; only
+   codes containing the delta relation are filled. *)
+type ins_skel = {
+  sk_dense : int array;  (* relation -> dense bit in the target; -1 outside *)
+  sk_r_bit : int;
+  sk_delta_pages : float;
+  sk_count : float array;  (* delta-join tuples *)
+  sk_pages : float array;  (* their pages *)
+  sk_blocks : float array;  (* outer blocks of a nested-block join *)
+  sk_bases : ins_unit array;  (* the target's other base relations, DP order *)
+}
+
+(* Skeletons are pure functions of the derived statistics; they are built
+   lazily, under a lock, and read freely from every domain. *)
+type skeletons = {
+  sk_lock : Mutex.t;
+  sk_units : (int, ins_unit) Hashtbl.t;  (* element code -> unit *)
+  sk_ins : (int * int, ins_skel) Hashtbl.t;  (* (target set, rel) -> DP *)
+}
+
+let new_skeletons () =
+  { sk_lock = Mutex.create (); sk_units = Hashtbl.create 64; sk_ins = Hashtbl.create 64 }
+
+(* Find or build; a racing duplicate build is identical and discarded. *)
+let skel_find store tbl key build =
+  Mutex.lock store.sk_lock;
+  let found = Hashtbl.find_opt tbl key in
+  Mutex.unlock store.sk_lock;
+  match found with
+  | Some v -> v
+  | None ->
+      let v = build () in
+      Mutex.lock store.sk_lock;
+      let v =
+        match Hashtbl.find_opt tbl key with
+        | Some v' -> v'
+        | None ->
+            Hashtbl.add tbl key v;
+            v
+      in
+      Mutex.unlock store.sk_lock;
+      v
+
+(* ------------------------------------------------------------------ *)
 (* Feature encoding: a problem's candidate features (views + indexes)
    numbered once into bits, so a configuration drawn from that universe is
    one fixed-width {!Wmask.t}.  The encoding also precomputes, per
    maintained element, the *relevance mask* — the bits of features whose
    relation set is contained in the element's (exactly the features
    [Config.restrict] would keep) — so the memoization key of an element
-   under mask [m] is [m ∩ relevance].  Everything here is immutable after
-   construction (the counters are atomics), so encodings are shared freely
-   across worker domains. *)
+   under mask [m] is [m ∩ relevance].  Deletions and updates read less:
+   only the element's own indexes and compression, its *locate mask*, so
+   their keys are [m ∩ locate].  Everything here is immutable after
+   construction (the counters are atomics, the insertion-DP skeletons a
+   lock-guarded memo of pure values), so encodings are shared freely across
+   worker domains. *)
 
 type incr_stats = {
   is_full : int;  (** configurations costed from scratch *)
@@ -269,6 +345,8 @@ type encoding = {
   en_index_bit : (int, int) Hashtbl.t;  (* index signature code -> bit *)
   en_compress_bit : (int, int) Hashtbl.t;  (* element signature code -> bit *)
   en_relevance : (int, Wmask.t) Hashtbl.t;  (* relation-set int -> relevance mask *)
+  en_locate : (int, Wmask.t) Hashtbl.t;  (* element code -> locate mask *)
+  en_skel : skeletons;
   en_n_rels : int;
   (* Incremental-evaluation slots: base relations 0..n-1, then the
      candidate views ascending by [Bitset.compare] (the order [Config.views]
@@ -285,6 +363,10 @@ type encoding = {
   en_elems_computed : int Atomic.t;
   en_elems_copied : int Atomic.t;
 }
+
+let elem_code = function
+  | Element.Base i -> (2 * i) + 1
+  | Element.View s -> 2 * Bitset.to_int s
 
 let compute_relevance features rels =
   let bits = ref [] in
@@ -333,6 +415,24 @@ let make_encoding derived features =
   let slot_relevance =
     Array.map (fun e -> relevance_of (Element.rels e)) slot_elems
   in
+  (* Locate masks: the features [prop_delupd_uncached] reads for an
+     element, its indexes and its compression.  Every element they name is
+     a slot (indexes sit on bases, candidate views or the primary view). *)
+  let locate_tbl = Hashtbl.create 64 in
+  Array.iter
+    (fun e -> Hashtbl.replace locate_tbl (elem_code e) (Wmask.empty (Array.length features)))
+    slot_elems;
+  Array.iteri
+    (fun i f ->
+      let own e =
+        let code = elem_code e in
+        Hashtbl.replace locate_tbl code (Wmask.add i (Hashtbl.find locate_tbl code))
+      in
+      match f with
+      | Config.F_index ix -> own ix.Element.ix_elem
+      | Config.F_compress e -> own e
+      | Config.F_view _ -> ())
+    features;
   let slot_bit =
     Array.map
       (fun e ->
@@ -349,6 +449,8 @@ let make_encoding derived features =
     en_index_bit = index_bit;
     en_compress_bit = compress_bit;
     en_relevance = relevance_tbl;
+    en_locate = locate_tbl;
+    en_skel = new_skeletons ();
     en_n_rels = n_rels;
     en_slot_elems = slot_elems;
     en_slot_relevance = slot_relevance;
@@ -370,6 +472,8 @@ let relevance enc rels =
   | Some m -> m
   | None -> compute_relevance enc.en_features rels
 
+let relevance_mask enc elem = relevance enc (Element.rels elem)
+
 let feature_bit enc = function
   | Config.F_view w -> Hashtbl.find_opt enc.en_view_bit (Bitset.to_int w)
   | Config.F_index ix ->
@@ -382,6 +486,12 @@ let view_feature_bit enc w = Hashtbl.find_opt enc.en_view_bit (Bitset.to_int w)
 exception Out_of_universe
 
 let empty_mask enc = Wmask.empty (Array.length enc.en_features)
+
+(* Elements outside the slot table own no feature. *)
+let locate_mask enc elem =
+  match Hashtbl.find_opt enc.en_locate (elem_code elem) with
+  | Some m -> m
+  | None -> empty_mask enc
 
 let mask_of_config enc config =
   let bit = function Some b -> b | None -> raise Out_of_universe in
@@ -458,6 +568,9 @@ type masked_keying = {
      element serves nearly all of them without a search. *)
   mutable last_code : int;
   mutable last_key : int * int list;
+  (* The same for the locate masks of deletion and update keys. *)
+  mutable last_loc_code : int;
+  mutable last_loc_key : int * int list;
 }
 
 type keying =
@@ -473,6 +586,7 @@ type t = {
   config : Config.t Lazy.t;
   cache : cache;
   keying : keying;
+  skel : skeletons;  (* the problem's, or the evaluator's own *)
 }
 
 let create ?cache derived config =
@@ -498,6 +612,7 @@ let create ?cache derived config =
     config = Lazy.from_val config;
     cache;
     keying = K_structural { enc_views; enc_indexes; enc_compress; prefixes = [] };
+    skel = new_skeletons ();
   }
 
 let create_masked ?cache derived enc mask =
@@ -506,7 +621,17 @@ let create_masked ?cache derived enc mask =
     derived;
     config = lazy (config_of_mask enc mask);
     cache;
-    keying = K_masked { enc; kmask = mask; last_code = -1; last_key = (0, []) };
+    keying =
+      K_masked
+        {
+          enc;
+          kmask = mask;
+          last_code = -1;
+          last_key = (0, []);
+          last_loc_code = -1;
+          last_loc_key = (0, []);
+        };
+    skel = enc.en_skel;
   }
 
 let config t = Lazy.force t.config
@@ -542,10 +667,6 @@ let schema t = Derived.schema t.derived
 
 let mem_pages t = float_of_int (schema t).Schema.mem_pages
 
-let elem_code = function
-  | Element.Base i -> (2 * i) + 1
-  | Element.View s -> 2 * Bitset.to_int s
-
 let elem_prefix k target =
   let code = elem_code target in
   match List.assq_opt code k.prefixes with
@@ -561,30 +682,49 @@ let elem_prefix k target =
       k.prefixes <- (code, p) :: k.prefixes;
       p
 
-(* [kmask ∩ relevance] as (word 0, higher words up to the last non-zero
+(* [kmask ∩ restriction] as (word 0, higher words up to the last non-zero
    one) — the layout of {!Key}'s mask slots. *)
+let restricted_key kmask restriction =
+  let w i = Wmask.word kmask i land Wmask.word restriction i in
+  let rec tail i acc =
+    if i = 0 then acc
+    else
+      let x = w i in
+      tail (i - 1) (match acc with [] when x = 0 -> [] | _ -> x :: acc)
+  in
+  (w 0, tail (Wmask.words restriction - 1) [])
+
 let elem_mask_key m target =
   let code = elem_code target in
   if code = m.last_code then m.last_key
   else begin
-    let rel = relevance m.enc (Element.rels target) in
-    let w i = Wmask.word m.kmask i land Wmask.word rel i in
-    let rec tail i acc =
-      if i = 0 then acc
-      else
-        let x = w i in
-        tail (i - 1) (match acc with [] when x = 0 -> [] | _ -> x :: acc)
-    in
-    let k = (w 0, tail (Wmask.words rel - 1) []) in
+    let k = restricted_key m.kmask (relevance m.enc (Element.rels target)) in
     m.last_code <- code;
     m.last_key <- k;
     k
   end
 
+let elem_locate_key m target =
+  let code = elem_code target in
+  if code = m.last_loc_code then m.last_loc_key
+  else begin
+    let k = restricted_key m.kmask (locate_mask m.enc target) in
+    m.last_loc_code <- code;
+    m.last_loc_key <- k;
+    k
+  end
+
+(* Deletion and update keys ('d', 'u') restrict to the locate mask, every
+   other kind to the relevance mask; structural keys always carry the whole
+   restricted signature. *)
 let memo_key t ~target ~rel ~kind : Key.t =
   match t.keying with
   | K_masked m ->
-      let w0, rest = elem_mask_key m target in
+      let w0, rest =
+        match kind with
+        | 'd' | 'u' -> elem_locate_key m target
+        | _ -> elem_mask_key m target
+      in
       (elem_code target, Char.code kind, rel, w0, rest)
   | K_structural k -> (elem_code target, Char.code kind, rel, -1, elem_prefix k target)
 
@@ -657,42 +797,69 @@ let inner_access_cost t unit =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Propagating insertions: Eval(ΔR ⋈ ...) by dynamic programming over the
-   covered relation subsets, starting from the shipped delta or from a
-   saved delta of a materialized subview, and extending with base
-   relations or materialized views via nested-block or index joins. *)
+(* The insertion DP.  Its skeleton types and store are declared before the
+   encoding, which holds a problem's store. *)
 
-(* A join unit available for covering part of the target, with its costs
-   precomputed for the inner loop. *)
-type unit_info = {
-  u_elem : Element.t;
-  u_mask : int;  (* dense mask of the relations it covers *)
-  u_inner_access : float;  (* per-block cost of the nested-block inner side *)
-  u_read_f : float;  (* compression read factor for the unit's data pages *)
-  u_probes : (int * float * float * float * float * Element.attr) list;
-      (* per indexed join attribute reachable from outside the unit:
-         (dense bit of the outside relation, matches per probe,
-          index pages, per-probe index pages, data pages, probed attr) *)
-}
+(* The unit of [elem]: every join with exactly one side inside it, in
+   schema order, with the statistics of probing the inside attribute. *)
+let build_unit d elem =
+  let s = Derived.schema d in
+  let urels = Element.rels elem in
+  let probe (j : Schema.join) =
+    let inside =
+      if Bitset.mem j.Schema.left_rel urels && not (Bitset.mem j.Schema.right_rel urels)
+      then
+        Some
+          ( { Element.a_rel = j.Schema.left_rel; a_name = j.Schema.left_attr },
+            j.Schema.right_rel )
+      else if
+        Bitset.mem j.Schema.right_rel urels && not (Bitset.mem j.Schema.left_rel urels)
+      then
+        Some
+          ( { Element.a_rel = j.Schema.right_rel; a_name = j.Schema.right_attr },
+            j.Schema.left_rel )
+      else None
+    in
+    match inside with
+    | None -> None
+    | Some (attr, outside) ->
+        let card = Element.card d elem in
+        let shape = Derived.index_shape d ~entries:card in
+        let matches = card *. j.Schema.join_sel in
+        Some
+          {
+            pb_outside = outside;
+            pb_matches = matches;
+            pb_ix_pages = shape.Derived.ix_pages;
+            pb_per_probe =
+              float_of_int (max 0 (shape.Derived.ix_height - 2))
+              +. Num.fceil (shape.Derived.ix_pages *. matches /. Float.max card 1e-9);
+            pb_pages = Element.pages d elem;
+            pb_card = card;
+            pb_ix = { Element.ix_elem = elem; ix_attr = attr };
+          }
+  in
+  { iu_elem = elem; iu_probes = Array.of_list (List.filter_map probe s.Schema.joins) }
 
-let eval_ins t target_set r =
+let unit_of t elem =
+  skel_find t.skel t.skel.sk_units (elem_code elem) (fun () -> build_unit t.derived elem)
+
+let build_ins_skel t target_set r =
   let d = t.derived in
   let s = schema t in
   let i_r = (Schema.delta s r).Schema.n_ins in
   let scale = i_r /. Derived.base_card d r in
   let pm = mem_pages t in
-  let half_mem = pm /. 2. in
-  (* Dense encoding of the subsets of [target_set]. *)
   let positions = Array.of_list (Bitset.elements target_set) in
-  let k = Array.length positions in
-  let nstates = 1 lsl k in
-  let dense_bit_of_rel = Array.make (Schema.n_relations s) (-1) in
-  Array.iteri (fun bit rel -> dense_bit_of_rel.(rel) <- bit) positions;
-  let dense_of_set set =
-    Bitset.fold (fun rel acc -> acc lor (1 lsl dense_bit_of_rel.(rel))) set 0
-  in
+  let nstates = 1 lsl Array.length positions in
+  let dense = Array.make (Schema.n_relations s) (-1) in
+  Array.iteri (fun bit rel -> dense.(rel) <- bit) positions;
+  let r_bit = 1 lsl dense.(r) in
   (* sets.(code) is the Bitset for a dense code; built incrementally. *)
   let sets = Array.make nstates Bitset.empty in
+  let count = Array.make nstates 0. in
+  let pages = Array.make nstates 0. in
+  let blocks = Array.make nstates 0. in
   for code = 1 to nstates - 1 do
     let low = code land -code in
     let bit = ref 0 and v = ref low in
@@ -700,143 +867,175 @@ let eval_ins t target_set r =
       incr bit;
       v := !v lsr 1
     done;
-    sets.(code) <- Bitset.add positions.(!bit) sets.(code land (code - 1))
+    sets.(code) <- Bitset.add positions.(!bit) sets.(code land (code - 1));
+    if code land r_bit <> 0 then begin
+      count.(code) <- Derived.view_card d sets.(code) *. scale;
+      pages.(code) <- Derived.pages_of_tuples d ~set:sets.(code) ~tuples:count.(code);
+      blocks.(code) <- Float.ceil (pages.(code) /. pm)
+    end
   done;
-  let count code = Derived.view_card d sets.(code) *. scale in
-  let result_pages code =
-    Derived.pages_of_tuples d ~set:sets.(code) ~tuples:(count code)
+  {
+    sk_dense = dense;
+    sk_r_bit = r_bit;
+    sk_delta_pages = Derived.delta_pages d ~rel:r ~count:i_r;
+    sk_count = count;
+    sk_pages = pages;
+    sk_blocks = blocks;
+    sk_bases =
+      Array.of_list
+        (Bitset.fold
+           (fun i acc -> if i = r then acc else unit_of t (Element.Base i) :: acc)
+           target_set []);
+  }
+
+let dense_code sk set =
+  Bitset.fold (fun rel acc -> acc lor (1 lsl sk.sk_dense.(rel))) set 0
+
+(* Per-domain DP tables, grown on demand: a DP allocates nothing per
+   relaxation.  [dp_unit]/[dp_probe] record the step that reached a code
+   (probe -1 = nested-block join), [dp_start] the view whose saved delta
+   the path starts from (-1 = the shipped delta). *)
+type dp_tables = {
+  mutable dp_cost : float array;
+  mutable dp_from : int array;
+  mutable dp_unit : int array;
+  mutable dp_probe : int array;
+  mutable dp_start : int array;
+}
+
+let dp_key =
+  Domain.DLS.new_key (fun () ->
+      { dp_cost = [||]; dp_from = [||]; dp_unit = [||]; dp_probe = [||]; dp_start = [||] })
+
+let dp_tables nstates =
+  let tb = Domain.DLS.get dp_key in
+  if Array.length tb.dp_cost < nstates then begin
+    tb.dp_cost <- Array.make nstates infinity;
+    tb.dp_from <- Array.make nstates (-1);
+    tb.dp_unit <- Array.make nstates 0;
+    tb.dp_probe <- Array.make nstates 0;
+    tb.dp_start <- Array.make nstates 0
+  end;
+  Array.fill tb.dp_cost 0 nstates infinity;
+  Array.fill tb.dp_from 0 nstates (-1);
+  tb
+
+let eval_ins t target_set r =
+  let sk =
+    skel_find t.skel t.skel.sk_ins (Bitset.to_int target_set, r) (fun () ->
+        build_ins_skel t target_set r)
   in
-  let r_bit = 1 lsl dense_bit_of_rel.(r) in
+  let half_mem = mem_pages t /. 2. in
+  let config = config t in
   (* Units: base relations of the target and materialized views inside the
-     target that avoid the delta relation. *)
-  let make_unit elem =
-    let urels = Element.rels elem in
-    let probes =
-      List.filter_map
-        (fun (j : Schema.join) ->
-          let inside_attr =
-            if
-              Bitset.mem j.Schema.left_rel urels
-              && (not (Bitset.mem j.Schema.right_rel urels))
-              && Bitset.mem j.Schema.right_rel target_set
-            then
-              Some
-                ( { Element.a_rel = j.Schema.left_rel; a_name = j.Schema.left_attr },
-                  j.Schema.right_rel )
-            else if
-              Bitset.mem j.Schema.right_rel urels
-              && (not (Bitset.mem j.Schema.left_rel urels))
-              && Bitset.mem j.Schema.left_rel target_set
-            then
-              Some
-                ( { Element.a_rel = j.Schema.right_rel; a_name = j.Schema.right_attr },
-                  j.Schema.left_rel )
-            else None
-          in
-          match inside_attr with
-          | Some (attr, outside_rel) when Config.has_index (config t) elem attr ->
-              let card = Element.card d elem in
-              let pages = Element.pages d elem in
-              let shape = Derived.index_shape d ~entries:card in
-              let matches = card *. j.Schema.join_sel in
-              let per_probe =
-                float_of_int (max 0 (shape.Derived.ix_height - 2))
-                +. Num.fceil
-                     (shape.Derived.ix_pages *. matches /. Float.max card 1e-9)
-              in
-              Some
-                ( 1 lsl dense_bit_of_rel.(outside_rel),
-                  matches,
-                  shape.Derived.ix_pages,
-                  per_probe,
-                  pages,
-                  attr )
-          | _ -> None)
-        s.Schema.joins
-    in
-    {
-      u_elem = elem;
-      u_mask = dense_of_set urels;
-      u_inner_access = inner_access_cost t elem;
-      u_read_f = read_f t elem;
-      u_probes = probes;
-    }
+     target that avoid the delta relation, priced for this configuration.
+     A probe is usable when its outside relation lies in the target and
+     the configuration materializes its index; [outs] holds its outside
+     dense bit, 0 when unusable. *)
+  let views =
+    List.filter
+      (fun w -> Bitset.subset w target_set && not (Bitset.mem r w))
+      (Config.views config)
   in
   let units =
-    Bitset.fold
-      (fun i acc -> if i = r then acc else make_unit (Element.Base i) :: acc)
-      target_set []
-    @ List.filter_map
-        (fun w ->
-          if Bitset.subset w target_set && not (Bitset.mem r w) then
-            Some (make_unit (Element.View w))
-          else None)
-        (Config.views (config t))
+    Array.append sk.sk_bases
+      (Array.of_list (List.map (fun w -> unit_of t (Element.View w)) views))
   in
-  (* DP tables. *)
-  let cost = Array.make nstates infinity in
-  let from = Array.make nstates (-1) in
-  let step = Array.make nstates None in
-  let start = Array.make nstates From_delta in
-  let relax code c prev st sstart =
-    if c < cost.(code) then begin
-      cost.(code) <- c;
-      from.(code) <- prev;
-      step.(code) <- st;
-      start.(code) <- sstart
-    end
+  let n_units = Array.length units in
+  let masks = Array.map (fun u -> dense_code sk (Element.rels u.iu_elem)) units in
+  let inner = Array.map (fun u -> inner_access_cost t u.iu_elem) units in
+  let read = Array.map (fun u -> read_f t u.iu_elem) units in
+  let outs =
+    Array.map
+      (fun u ->
+        Array.map
+          (fun pb ->
+            let bit = sk.sk_dense.(pb.pb_outside) in
+            if bit >= 0 && Config.has_index config u.iu_elem pb.pb_ix.Element.ix_attr
+            then 1 lsl bit
+            else 0)
+          u.iu_probes)
+      units
   in
-  relax r_bit (Derived.delta_pages d ~rel:r ~count:i_r) (-1) None From_delta;
+  let nstates = Array.length sk.sk_count in
+  let tb = dp_tables nstates in
+  let cost = tb.dp_cost and from = tb.dp_from and start = tb.dp_start in
+  let step_unit = tb.dp_unit and step_probe = tb.dp_probe in
+  let r_bit = sk.sk_r_bit in
+  if sk.sk_delta_pages < cost.(r_bit) then begin
+    cost.(r_bit) <- sk.sk_delta_pages;
+    from.(r_bit) <- -1;
+    start.(r_bit) <- -1
+  end;
   List.iter
     (fun w ->
       if Bitset.mem r w && Bitset.proper_subset w target_set then begin
-        let code = dense_of_set w in
-        relax code (result_pages code) (-1) None (From_saved w)
+        let code = dense_code sk w in
+        if sk.sk_pages.(code) < cost.(code) then begin
+          cost.(code) <- sk.sk_pages.(code);
+          from.(code) <- -1;
+          start.(code) <- Bitset.to_int w
+        end
       end)
-    (Config.views (config t));
+    (Config.views config);
   for code = r_bit to nstates - 1 do
     if code land r_bit <> 0 && cost.(code) < infinity then begin
-      let outer_tuples = count code in
-      let outer_pages = result_pages code in
-      let blocks = Float.ceil (outer_pages /. pm) in
-      List.iter
-        (fun u ->
-          if code land u.u_mask = 0 then begin
-            let next = code lor u.u_mask in
-            let base = cost.(code) in
-            relax next
-              (base +. (blocks *. u.u_inner_access))
-              code
-              (Some (u.u_elem, Nbj))
-              start.(code);
-            List.iter
-              (fun (outside_bit, matches, ix_pages, per_probe, pages, attr) ->
-                if code land outside_bit <> 0 then begin
-                  let card = Element.card d u.u_elem in
-                  let c =
-                    Yao.y_wap ~n:card ~p:ix_pages
-                      ~k:(outer_tuples *. per_probe) ~m:half_mem
-                    +. u.u_read_f
-                       *. Yao.y_wap ~n:card ~p:pages
-                            ~k:(outer_tuples *. matches) ~m:half_mem
-                  in
-                  let ix = { Element.ix_elem = u.u_elem; ix_attr = attr } in
-                  relax next (base +. c) code
-                    (Some (u.u_elem, Index_join ix))
-                    start.(code)
-                end)
-              u.u_probes
-          end)
-        units
+      let outer_tuples = sk.sk_count.(code) in
+      let blocks = sk.sk_blocks.(code) in
+      for ui = 0 to n_units - 1 do
+        if code land masks.(ui) = 0 then begin
+          let next = code lor masks.(ui) in
+          let base = cost.(code) in
+          let c = base +. (blocks *. inner.(ui)) in
+          if c < cost.(next) then begin
+            cost.(next) <- c;
+            from.(next) <- code;
+            step_unit.(next) <- ui;
+            step_probe.(next) <- -1;
+            start.(next) <- start.(code)
+          end;
+          let probes = units.(ui).iu_probes and uouts = outs.(ui) in
+          for pi = 0 to Array.length probes - 1 do
+            if code land uouts.(pi) <> 0 then begin
+              let pb = probes.(pi) in
+              let c =
+                Yao.y_wap ~n:pb.pb_card ~p:pb.pb_ix_pages
+                  ~k:(outer_tuples *. pb.pb_per_probe) ~m:half_mem
+                +. read.(ui)
+                   *. Yao.y_wap ~n:pb.pb_card ~p:pb.pb_pages
+                        ~k:(outer_tuples *. pb.pb_matches) ~m:half_mem
+              in
+              let c = base +. c in
+              if c < cost.(next) then begin
+                cost.(next) <- c;
+                from.(next) <- code;
+                step_unit.(next) <- ui;
+                step_probe.(next) <- pi;
+                start.(next) <- start.(code)
+              end
+            end
+          done
+        end
+      done
     end
   done;
   let final = nstates - 1 in
   assert (cost.(final) < infinity);
   (* Reconstruct the winning update path. *)
   let rec walk code acc =
-    match (from.(code), step.(code)) with
-    | prev, Some st when prev >= 0 -> walk prev (st :: acc)
-    | _ -> (start.(code), acc)
+    let prev = from.(code) in
+    if prev >= 0 then begin
+      let u = units.(step_unit.(code)) in
+      let how =
+        match step_probe.(code) with
+        | -1 -> Nbj
+        | pi -> Index_join u.iu_probes.(pi).pb_ix
+      in
+      walk prev ((u.iu_elem, how) :: acc)
+    end
+    else
+      ( (match start.(code) with -1 -> From_delta | w -> From_saved (Bitset.of_int w)),
+        acc )
   in
   let st, steps = walk final [] in
   (cost.(final), { ip_start = st; ip_steps = steps })

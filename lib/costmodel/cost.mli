@@ -195,6 +195,17 @@ val feature_bit : encoding -> Config.feature -> int option
 (** The bit of the feature [F_view w]. *)
 val view_feature_bit : encoding -> Vis_util.Bitset.t -> int option
 
+(** [relevance_mask enc elem]: the features an insertion or element cost of
+    [elem] can depend on — every feature whose relations lie inside
+    [elem]'s.  Memo keys of those costs restrict the mask to it. *)
+val relevance_mask : encoding -> Element.t -> Vis_util.Wmask.t
+
+(** [locate_mask enc elem]: the features a deletion or update cost of
+    [elem] can depend on — [elem]'s own indexes and its compression.  Memo
+    keys of {!prop_del} and {!prop_upd} restrict the mask to it, so they
+    are shared by every configuration that agrees on those bits. *)
+val locate_mask : encoding -> Element.t -> Vis_util.Wmask.t
+
 (** [mask_of_config enc c] packs a symbolic configuration, or [None] when any
     of its features is outside the universe. *)
 val mask_of_config : encoding -> Config.t -> Vis_util.Wmask.t option

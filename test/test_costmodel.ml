@@ -308,6 +308,23 @@ let prop_shared_cache_consistent =
       let again = Vis_core.Problem.total p config in
       Vis_util.Num.approx_equal fresh shared && shared = again)
 
+(* The insertion DP runs over per-problem skeletons and index-valued plan
+   steps; its costs (as [%h]) and plans must match, line for line, what the
+   DP that rebuilt every table per call produced. *)
+let test_ins_golden () =
+  let expected = In_channel.with_open_bin "ins_golden.expected" In_channel.input_all in
+  let actual = Ins_golden.render () in
+  let lines s = String.split_on_char '\n' s in
+  let rec first_diff i = function
+    | a :: ra, b :: rb -> if a = b then first_diff (i + 1) (ra, rb) else Some (i, a, b)
+    | [], [] -> None
+    | a :: _, [] -> Some (i, a, "<end>")
+    | [], b :: _ -> Some (i, "<end>", b)
+  in
+  match first_diff 1 (lines expected, lines actual) with
+  | None -> ()
+  | Some (i, a, b) -> Alcotest.failf "line %d differs:\nexpected %s\nactual   %s" i a b
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "vis_costmodel"
@@ -335,6 +352,7 @@ let () =
           Alcotest.test_case "save charged" `Quick test_supporting_view_save_charged;
           Alcotest.test_case "total structure" `Quick test_total_structure;
           Alcotest.test_case "index maintenance" `Quick test_index_maint_cost;
+          Alcotest.test_case "insertion DP golden" `Quick test_ins_golden;
         ]
         @ qt
             [

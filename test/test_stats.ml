@@ -117,6 +117,18 @@ let test_cache_hash_spread () =
     (Printf.sprintf "longest bucket chain %d <= 16" s.Cost.cs_max_chain)
     true (s.Cost.cs_max_chain <= 16)
 
+(* Each A* state carries its ĥ inputs and a successor re-derives only
+   those its flipped feature can change, so a jobs-1 A* on the 4-relation
+   chain makes 512,807 memo lookups (hits + misses).  Rebuilding ĥ from
+   scratch for every state made 1,650,266; the ceiling catches that
+   creeping back. *)
+let test_astar_lookup_ceiling () =
+  let p = Problem.make (Vis_workload.Schemas.chain ~n:4 ()) in
+  ignore (Astar.search ~jobs:1 p);
+  let s = Cost.cache_stats p.Problem.cache in
+  let lookups = s.Cost.cs_hits + s.Cost.cs_misses in
+  checkb (Printf.sprintf "%d memo lookups <= 520,000" lookups) true (lookups <= 520_000)
+
 let random_config ~rng p =
   let views =
     List.filter (fun _ -> Random.State.bool rng) p.Problem.candidate_views
@@ -282,6 +294,8 @@ let () =
           Alcotest.test_case "eviction" `Quick test_cache_eviction;
           Alcotest.test_case "hash spreads memo keys" `Quick
             test_cache_hash_spread;
+          Alcotest.test_case "A* memo lookups capped" `Quick
+            test_astar_lookup_ceiling;
         ]
         @ qt [ prop_cache_transparent; prop_bounded_cache_transparent ] );
       ( "search stats",
